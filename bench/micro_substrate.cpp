@@ -1,17 +1,22 @@
 // Microbenchmarks of the substrates (google-benchmark): the multi-version
 // store's three atomic operations plus the COW merge/read paths, the
 // log-entry codec and streamed fingerprint, the conflict / combination
-// machinery, the simulator's event throughput and cancel-heavy churn, and a
-// full end-to-end commit (virtual-time protocol run, measured in wall time).
+// machinery, the simulator's event throughput and cancel-heavy churn, a
+// full end-to-end commit (virtual-time protocol run, measured in wall time),
+// and the end-of-run invariant checker over a synthetic cross-group history.
 //
 // Pass `--json <path>` to also write a perf-trajectory snapshot
 // (name → ns/op, items/s); the schema is documented in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "core/checker.h"
 #include "core/cluster.h"
 #include "experiment_common.h"
 #include "kvstore/store.h"
@@ -292,6 +297,107 @@ void BM_EndToEndCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EndToEndCommit)->Unit(benchmark::kMicrosecond);
+
+// --------------------------------------------------------------- checker
+
+/// Writes a serializable 4-group history of `txns` transactions into every
+/// replica of `cluster` and returns the group names. Half the transactions
+/// span two groups: a prepare in each, then the commit decide in the
+/// commit group and its propagated copy in the other. Every read observes
+/// the latest serial write of its item.
+std::vector<std::string> BuildCheckerHistory(core::Cluster* cluster,
+                                             int txns) {
+  constexpr int kGroups = 4;
+  std::vector<std::string> groups;
+  for (int g = 0; g < kGroups; ++g) {
+    std::string name = "g";  // += form: see BM_StoreReadSnapshot
+    name += std::to_string(g);
+    groups.push_back(std::move(name));
+  }
+  std::vector<std::vector<wal::LogEntry>> logs(kGroups);
+  std::vector<std::map<wal::ItemId, wal::ReadRecord>> latest(kGroups);
+  Rng rng(7);
+  auto random_item = [&rng] {
+    std::string attribute = "a";
+    attribute += std::to_string(rng.Uniform(100));
+    return wal::ItemId{"row", std::move(attribute)};
+  };
+  auto append = [&](int g, wal::TxnRecord t) {
+    const LogPos pos = logs[g].size() + 1;
+    if (t.kind != wal::RecordKind::kDecide) {
+      t.read_pos = pos - 1;
+      for (int r = 0; r < 3; ++r) {
+        const wal::ItemId item = random_item();
+        wal::ReadRecord& seen = latest[g][item];
+        seen.item = item;
+        t.reads.push_back(seen);
+      }
+      wal::ItemId item = random_item();
+      latest[g][item] = wal::ReadRecord{item, t.id, pos};
+      t.writes.push_back(wal::WriteRecord{std::move(item), "v"});
+    }
+    wal::LogEntry entry;
+    entry.winner_dc = t.origin_dc;
+    entry.txns.push_back(std::move(t));
+    logs[g].push_back(std::move(entry));
+  };
+  uint64_t cross_ts = 0;
+  for (int i = 1; i <= txns; ++i) {
+    wal::TxnRecord t;
+    t.id = MakeTxnId(static_cast<DcId>(i % 3), static_cast<uint64_t>(i));
+    t.origin_dc = TxnIdDc(t.id);
+    const int g = static_cast<int>(rng.Uniform(kGroups));
+    if (i % 2 == 0) {
+      append(g, std::move(t));
+      continue;
+    }
+    const int other = (g + 1 + static_cast<int>(rng.Uniform(kGroups - 1))) %
+                      kGroups;
+    const int commit_group = std::min(g, other);
+    const int participant = std::max(g, other);
+    t.kind = wal::RecordKind::kPrepare;
+    t.cross_ts = ++cross_ts;
+    t.participants = {groups[commit_group], groups[participant]};
+    wal::TxnRecord decide;
+    decide.id = t.id;
+    decide.origin_dc = t.origin_dc;
+    decide.kind = wal::RecordKind::kDecide;
+    decide.commit_decision = true;
+    append(commit_group, t);
+    append(participant, std::move(t));
+    append(commit_group, decide);
+    append(participant, std::move(decide));
+  }
+  for (DcId dc = 0; dc < cluster->num_datacenters(); ++dc) {
+    for (int g = 0; g < kGroups; ++g) {
+      wal::WriteAheadLog* log = cluster->service(dc)->GroupLog(groups[g]);
+      for (size_t i = 0; i < logs[g].size(); ++i) {
+        (void)log->SetEntry(i + 1, logs[g][i]);
+      }
+    }
+  }
+  return groups;
+}
+
+/// The full end-of-run invariant check over a synthetic history. Its cost
+/// must be linear in log records: a 4x larger history should take about
+/// 4x as long, where a per-transaction log rescan would take about 16x.
+void BM_CheckAllCross(benchmark::State& state) {
+  core::Cluster cluster(*core::ClusterConfig::FromCode("VVV"));
+  const std::vector<std::string> groups =
+      BuildCheckerHistory(&cluster, static_cast<int>(state.range(0)));
+  core::Checker checker(&cluster);
+  for (auto _ : state) {
+    const core::CheckReport report = checker.CheckAllCross(groups, {});
+    if (!report.ok) {
+      state.SkipWithError("checker flagged the synthetic history");
+      break;
+    }
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CheckAllCross)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------- --json reporter
 

@@ -26,14 +26,14 @@ CheckReport Checker::CheckReplication(
   global_log->clear();
   std::map<LogPos, uint64_t> fingerprints;
   for (DcId dc = 0; dc < cluster_->num_datacenters(); ++dc) {
-    const std::map<LogPos, wal::LogEntry> entries =
+    std::map<LogPos, wal::LogEntry> entries =
         cluster_->service(dc)->GroupLog(group)->AllEntries();
-    for (const auto& [pos, entry] : entries) {
+    for (auto& [pos, entry] : entries) {
       const uint64_t fp = entry.Fingerprint();
       auto it = fingerprints.find(pos);
       if (it == fingerprints.end()) {
         fingerprints.emplace(pos, fp);
-        global_log->emplace(pos, entry);
+        global_log->emplace(pos, std::move(entry));
       } else if (it->second != fp) {
         report.Violation("(R1) datacenter " + std::to_string(dc) +
                          " disagrees on log position " + std::to_string(pos));
@@ -82,9 +82,7 @@ void Checker::CheckOutcomes(const std::map<LogPos, wal::LogEntry>& log,
       if (t.kind != wal::RecordKind::kDecide) where[t.id].push_back(pos);
     }
   }
-  std::set<TxnId> known;
   for (const ClientOutcome& o : outcomes) {
-    known.insert(o.id);
     const auto it = where.find(o.id);
     const int appearances =
         it == where.end() ? 0 : static_cast<int>(it->second.size());
@@ -257,80 +255,83 @@ void CheckMvsgOver(const std::vector<NamespacedLog>& logs,
   //   WR: writer -> each reader of its version;
   //   RW: each reader of a version -> the writer of the next version.
   // One-copy serializability of the (global) history implies this graph
-  // is acyclic.
+  // is acyclic. Readers and writers are graph nodes (indices into `order`).
   struct VersionInfo {
-    TxnId writer;
-    std::vector<TxnId> readers;
+    size_t writer;
+    std::vector<size_t> readers;
   };
-  struct GlobalItem {
-    std::string ns;
-    wal::ItemId item;
-    bool operator<(const GlobalItem& other) const {
-      if (ns != other.ns) return ns < other.ns;
-      return item < other.item;
-    }
+  struct ItemVersions {
+    /// Readers of the virtual initial version (txn 0, no node), which
+    /// precedes every written version.
+    std::vector<size_t> initial_readers;
+    /// Written versions in apply order.
+    std::vector<VersionInfo> chain;
+    /// Writer -> its first version in `chain`, so a read finds the version
+    /// it observed without scanning the chain.
+    std::map<TxnId, size_t> by_writer;
   };
-  std::map<GlobalItem, std::vector<VersionInfo>> versions;
+  // Namespace -> item -> versions; iterates in (namespace, item) order.
+  std::map<std::string, std::map<wal::ItemId, ItemVersions>> versions;
   std::vector<TxnId> order;
   std::map<TxnId, size_t> index;
 
   for (const NamespacedLog& nl : logs) {
+    std::map<wal::ItemId, ItemVersions>& items = versions[nl.ns];
     for (const auto& [pos, entry] : *nl.log) {
       for (const wal::TxnRecord& t : entry.txns) {
         if (!Effectful(t, decisions)) continue;
-        if (index.count(t.id) == 0) {
-          index[t.id] = order.size();
-          order.push_back(t.id);
-        }
+        const auto [node_it, inserted] = index.try_emplace(t.id, order.size());
+        if (inserted) order.push_back(t.id);
+        const size_t node = node_it->second;
         for (const wal::ReadRecord& r : t.reads) {
-          auto& chain = versions[GlobalItem{nl.ns, r.item}];
+          ItemVersions& iv = items[r.item];
           if (r.observed_writer == 0) {
-            // Initial version: model as a virtual version 0 at the front.
-            if (chain.empty() || chain.front().writer != 0) {
-              chain.insert(chain.begin(), VersionInfo{0, {}});
-            }
-            chain.front().readers.push_back(t.id);
+            iv.initial_readers.push_back(node);
+            continue;
+          }
+          const auto v = iv.by_writer.find(r.observed_writer);
+          if (v != iv.by_writer.end()) {
+            iv.chain[v->second].readers.push_back(node);
           } else {
-            bool found = false;
-            for (VersionInfo& v : chain) {
-              if (v.writer == r.observed_writer) {
-                v.readers.push_back(t.id);
-                found = true;
-                break;
-              }
-            }
-            if (!found) {
-              report->Violation("MVSG: txn " + TxnIdToString(t.id) +
-                                " reads version of " + r.item.ToString() +
-                                " written by unknown txn " +
-                                TxnIdToString(r.observed_writer));
-            }
+            report->Violation("MVSG: txn " + TxnIdToString(t.id) +
+                              " reads version of " + r.item.ToString() +
+                              " written by unknown txn " +
+                              TxnIdToString(r.observed_writer));
           }
         }
         for (const wal::WriteRecord& w : t.writes) {
-          versions[GlobalItem{nl.ns, w.item}].push_back(VersionInfo{t.id, {}});
+          ItemVersions& iv = items[w.item];
+          iv.by_writer.try_emplace(t.id, iv.chain.size());
+          iv.chain.push_back(VersionInfo{node, {}});
         }
       }
     }
   }
 
-  // Adjacency over txn indices (0 = virtual initial txn gets no node).
+  // Adjacency over txn nodes.
   const size_t n = order.size();
   std::vector<std::vector<size_t>> adj(n);
-  auto add_edge = [&](TxnId from, TxnId to) {
-    if (from == 0 || to == 0 || from == to) return;
-    adj[index[from]].push_back(index[to]);
+  auto add_edge = [&](size_t from, size_t to) {
+    if (from != to) adj[from].push_back(to);
   };
-  for (const auto& [item, chain] : versions) {
-    for (size_t i = 0; i < chain.size(); ++i) {
-      if (i + 1 < chain.size()) {
-        add_edge(chain[i].writer, chain[i + 1].writer);  // WW
-        for (TxnId reader : chain[i].readers) {
-          add_edge(reader, chain[i + 1].writer);  // RW
+  for (const auto& [ns, items] : versions) {
+    for (const auto& [item, iv] : items) {
+      const std::vector<VersionInfo>& chain = iv.chain;
+      if (!chain.empty()) {
+        for (size_t reader : iv.initial_readers) {
+          add_edge(reader, chain.front().writer);  // RW
         }
       }
-      for (TxnId reader : chain[i].readers) {
-        add_edge(chain[i].writer, reader);  // WR
+      for (size_t i = 0; i < chain.size(); ++i) {
+        if (i + 1 < chain.size()) {
+          add_edge(chain[i].writer, chain[i + 1].writer);  // WW
+          for (size_t reader : chain[i].readers) {
+            add_edge(reader, chain[i + 1].writer);  // RW
+          }
+        }
+        for (size_t reader : chain[i].readers) {
+          add_edge(chain[i].writer, reader);  // WR
+        }
       }
     }
   }
@@ -397,31 +398,42 @@ CheckReport Checker::CheckAllCross(const std::vector<std::string>& groups,
     report.combined_txns += group_report.combined_txns;
   }
 
-  // ---- Cross-group bookkeeping: prepares per transaction per group, and
-  // the canonical fate from each transaction's commit group.
+  // ---- Cross-group bookkeeping, indexed in one pass over the logs: each
+  // cross transaction's prepare and decide sites in (group, position, list)
+  // order. Every check below reads the index instead of rescanning logs.
   struct PrepareSite {
-    std::string group;
-    LogPos pos = 0;
-    size_t entry_index = 0;
+    const std::string* group = nullptr;  // key of `logs`
     const wal::TxnRecord* record = nullptr;
   };
-  std::map<TxnId, std::vector<PrepareSite>> prepares;
+  struct DecideSite {
+    const std::string* group = nullptr;  // key of `logs`
+    LogPos pos = 0;
+    bool commit = false;
+  };
+  struct CrossSites {
+    std::vector<PrepareSite> prepares;
+    std::vector<DecideSite> decides;
+  };
+  std::map<TxnId, CrossSites> cross;
   for (const auto& [group, log] : logs) {
     for (const auto& [pos, entry] : log) {
-      for (size_t i = 0; i < entry.txns.size(); ++i) {
-        const wal::TxnRecord& t = entry.txns[i];
+      for (const wal::TxnRecord& t : entry.txns) {
         if (t.kind == wal::RecordKind::kPrepare) {
-          prepares[t.id].push_back(PrepareSite{group, pos, i, &t});
+          cross[t.id].prepares.push_back(PrepareSite{&group, &t});
+        } else if (t.kind == wal::RecordKind::kDecide) {
+          cross[t.id].decides.push_back(
+              DecideSite{&group, pos, t.commit_decision});
         }
       }
     }
   }
 
   std::map<TxnId, CrossFate> canonical;
-  for (const auto& [id, sites] : prepares) {
-    const wal::TxnRecord& first = *sites.front().record;
+  for (const auto& [id, sites] : cross) {
+    if (sites.prepares.empty()) continue;  // decides without any prepare
+    const wal::TxnRecord& first = *sites.prepares.front().record;
     // Participant lists must agree across every prepare of the txn.
-    for (const PrepareSite& site : sites) {
+    for (const PrepareSite& site : sites.prepares) {
       if (site.record->participants != first.participants ||
           site.record->cross_ts != first.cross_ts) {
         report.Violation("cross txn " + TxnIdToString(id) +
@@ -434,22 +446,21 @@ CheckReport Checker::CheckAllCross(const std::vector<std::string>& groups,
       canonical[id] = CrossFate::kAborted;
       continue;
     }
-    const std::string& commit_group = first.participants.front();
-    auto cg = logs.find(commit_group);
+    auto cg = logs.find(first.participants.front());
     if (cg == logs.end()) {
       report.Violation("cross txn " + TxnIdToString(id) + " names '" +
-                       commit_group +
+                       first.participants.front() +
                        "' as commit group, which is not among the checked "
                        "groups");
       canonical[id] = CrossFate::kAborted;
       continue;
     }
+    const std::string* commit_group = &cg->first;
     // Canonical fate: the first decide record in the commit group's log.
     CrossFate fate = CrossFate::kUndecided;
-    for (const auto& [pos, entry] : cg->second) {
-      if (const wal::TxnRecord* d = entry.FindDecide(id)) {
-        fate = d->commit_decision ? CrossFate::kCommitted
-                                  : CrossFate::kAborted;
+    for (const DecideSite& d : sites.decides) {
+      if (d.group == commit_group) {
+        fate = d.commit ? CrossFate::kCommitted : CrossFate::kAborted;
         break;
       }
     }
@@ -460,8 +471,8 @@ CheckReport Checker::CheckAllCross(const std::vector<std::string>& groups,
     if (fate == CrossFate::kCommitted) {
       for (const std::string& participant : first.participants) {
         int count = 0;
-        for (const PrepareSite& site : sites) {
-          if (site.group == participant) ++count;
+        for (const PrepareSite& site : sites.prepares) {
+          if (*site.group == participant) ++count;
         }
         if (count != 1) {
           report.Violation("atomicity: committed cross txn " +
@@ -472,12 +483,12 @@ CheckReport Checker::CheckAllCross(const std::vector<std::string>& groups,
       }
     }
     // Prepares only in declared participant groups.
-    for (const PrepareSite& site : sites) {
+    for (const PrepareSite& site : sites.prepares) {
       if (std::find(first.participants.begin(), first.participants.end(),
-                    site.group) == first.participants.end()) {
+                    *site.group) == first.participants.end()) {
         report.Violation("cross txn " + TxnIdToString(id) +
-                         " prepared in non-participant group '" + site.group +
-                         "'");
+                         " prepared in non-participant group '" +
+                         *site.group + "'");
       }
     }
     // Decision consistency: outside the commit group every decide record
@@ -485,22 +496,16 @@ CheckReport Checker::CheckAllCross(const std::vector<std::string>& groups,
     // they are what each group's replicas apply). Inside the commit group
     // later conflicting decides are legal race artifacts — only the first
     // counts.
-    for (const auto& [group, log] : logs) {
-      if (group == commit_group) continue;
-      for (const auto& [pos, entry] : log) {
-        for (const wal::TxnRecord& t : entry.txns) {
-          if (t.kind != wal::RecordKind::kDecide || t.id != id) continue;
-          const CrossFate recorded = t.commit_decision
-                                         ? CrossFate::kCommitted
-                                         : CrossFate::kAborted;
-          if (fate == CrossFate::kUndecided || recorded != fate) {
-            report.Violation(
-                "atomicity: decide for cross txn " + TxnIdToString(id) +
-                " in group '" + group + "' at position " +
-                std::to_string(pos) +
-                " disagrees with the commit group's canonical decision");
-          }
-        }
+    for (const DecideSite& d : sites.decides) {
+      if (d.group == commit_group) continue;
+      const CrossFate recorded =
+          d.commit ? CrossFate::kCommitted : CrossFate::kAborted;
+      if (fate == CrossFate::kUndecided || recorded != fate) {
+        report.Violation("atomicity: decide for cross txn " +
+                         TxnIdToString(id) + " in group '" + *d.group +
+                         "' at position " + std::to_string(d.pos) +
+                         " disagrees with the commit group's canonical "
+                         "decision");
       }
     }
   }

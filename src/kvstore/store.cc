@@ -218,19 +218,19 @@ size_t MultiVersionStore::TruncateAllVersions(Timestamp watermark) {
   return removed;
 }
 
-std::vector<std::string> MultiVersionStore::KeysWithPrefix(
-    std::string_view prefix) const {
+std::vector<std::pair<std::string, RowVersion>>
+MultiVersionStore::LatestWithPrefix(std::string_view prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (sim::race::Active()) {
     sim::race::Record(sim::race::AccessKind::kRead, {"kv", instance_id_, "prefix", prefix});
   }
-  std::vector<std::string> out;
+  std::vector<std::pair<std::string, RowVersion>> out;
   for (auto it = rows_.lower_bound(prefix); it != rows_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix.data(), prefix.size()) !=
         0) {
       break;
     }
-    if (!it->second.empty()) out.push_back(it->first);
+    if (!it->second.empty()) out.emplace_back(it->first, it->second.back());
   }
   return out;
 }

@@ -31,6 +31,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -130,8 +131,11 @@ class MultiVersionStore {
   /// Applies TruncateVersions to every key. Returns total removed.
   size_t TruncateAllVersions(Timestamp watermark);
 
-  /// All keys with the given prefix, sorted.
-  std::vector<std::string> KeysWithPrefix(std::string_view prefix) const;
+  /// Every key with the given prefix, sorted, paired with its newest
+  /// version (one ordered walk of the key range; keys without versions are
+  /// skipped).
+  std::vector<std::pair<std::string, RowVersion>> LatestWithPrefix(
+      std::string_view prefix) const;
 
   size_t KeyCount() const;
 

@@ -113,11 +113,13 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
   PAXOSCP_RETURN_IF_ERROR(
       store_->Write(EntryKey(pos), {{kEntryAttr, encoded}}));
   BumpMaxDecided(pos);
-  if (entry.HasCrossRecords()) NoteCrossRecords(pos, entry);
+  if (entry.HasCrossRecords()) {
+    PAXOSCP_RETURN_IF_ERROR(NoteCrossRecords(pos, entry));
+  }
   return Status::OK();
 }
 
-void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
+Status WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
   for (const TxnRecord& t : entry.txns) {
     if (t.kind == RecordKind::kPrepare) {
       if (sim::race::Active()) {
@@ -128,10 +130,11 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
       for (const std::string& g : t.participants) {
         PutLengthPrefixed(&groups_encoded, g);
       }
-      (void)store_->Write(PrepareKey(t.id),
-                          {{"pos", std::to_string(pos)},
-                           {"ts", std::to_string(t.cross_ts)},
-                           {"groups", std::move(groups_encoded)}});
+      PAXOSCP_RETURN_IF_ERROR(
+          store_->Write(PrepareKey(t.id),
+                        {{"pos", std::to_string(pos)},
+                         {"ts", std::to_string(t.cross_ts)},
+                         {"groups", std::move(groups_encoded)}}));
       // Commit-order watermark: max (cross_ts, id) over all prepares seen.
       uint64_t max_ts = 0;
       TxnId max_id = 0;
@@ -141,9 +144,9 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
           sim::race::Record(sim::race::AccessKind::kWrite,
                             {"wal", store_->instance_id(), group_, "crossmax"});
         }
-        (void)store_->Write(CrossMaxKey(),
-                            {{"ts", std::to_string(t.cross_ts)},
-                             {"id", std::to_string(t.id)}});
+        PAXOSCP_RETURN_IF_ERROR(
+            store_->Write(CrossMaxKey(), {{"ts", std::to_string(t.cross_ts)},
+                                          {"id", std::to_string(t.id)}}));
       }
       // Pending until a decide is learned. Decides may be learned before
       // their prepare (out-of-order learning): then the prepare is born
@@ -157,7 +160,8 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
         kvstore::AttributeMap pending =
             row.ok() ? *row->attributes : kvstore::AttributeMap{};
         pending[PadPos(pos) + "/" + std::to_string(t.id)] = "1";
-        (void)store_->Write(PendingKey(), std::move(pending));
+        PAXOSCP_RETURN_IF_ERROR(
+            store_->Write(PendingKey(), std::move(pending)));
       }
     } else if (t.kind == RecordKind::kDecide) {
       CrossDecision existing = DecisionFor(t.id);
@@ -166,30 +170,34 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
           sim::race::Record(sim::race::AccessKind::kWrite,
                             {"wal", store_->instance_id(), group_, "decision", t.id});
         }
-        (void)store_->Write(DecisionKey(t.id),
-                            {{"d", t.commit_decision ? "c" : "a"},
-                             {"pos", std::to_string(pos)}});
+        PAXOSCP_RETURN_IF_ERROR(
+            store_->Write(DecisionKey(t.id),
+                          {{"d", t.commit_decision ? "c" : "a"},
+                           {"pos", std::to_string(pos)}}));
       }
-      PrepareInfo prep = PrepareFor(t.id);
-      if (prep.known) ClearPending(prep.pos, t.id);
+      const PrepareInfo prep = PrepareFor(t.id);
+      if (prep.known) PAXOSCP_RETURN_IF_ERROR(ClearPending(prep.pos, t.id));
     }
   }
   // A prepare arriving after its decide (handled above via the born-decided
   // branch) leaves no pending entry; a prepare in THIS entry whose decide
   // was also in this entry cannot happen (decides are proposed only after
   // the prepare's position is decided).
+  return Status::OK();
 }
 
-void WriteAheadLog::ClearPending(LogPos pos, TxnId id) {
+Status WriteAheadLog::ClearPending(LogPos pos, TxnId id) {
   if (sim::race::Active()) {
     sim::race::Record(sim::race::AccessKind::kWrite,
                       {"wal", store_->instance_id(), group_, "pending"});
   }
   Result<kvstore::RowVersion> row = store_->Read(PendingKey());
-  if (!row.ok()) return;
+  if (!row.ok()) return Status::OK();
   kvstore::AttributeMap pending = *row->attributes;
-  if (pending.erase(PadPos(pos) + "/" + std::to_string(id)) == 0) return;
-  (void)store_->Write(PendingKey(), std::move(pending));
+  if (pending.erase(PadPos(pos) + "/" + std::to_string(id)) == 0) {
+    return Status::OK();
+  }
+  return store_->Write(PendingKey(), std::move(pending));
 }
 
 std::vector<PendingPrepare> WriteAheadLog::PendingPrepares() const {
@@ -307,7 +315,12 @@ LogPos WriteAheadLog::ContiguousFrontier() {
       sim::race::Record(sim::race::AccessKind::kWrite,
                         {"wal", store_->instance_id(), group_, "frontier"});
     }
-    (void)store_->Write(FrontierKey(), {{"pos", std::to_string(frontier)}});
+    // A Write with an auto-assigned timestamp always lands one past the
+    // newest version, so it cannot conflict and this cache write cannot
+    // fail.
+    [[maybe_unused]] const Status s =
+        store_->Write(FrontierKey(), {{"pos", std::to_string(frontier)}});
+    assert(s.ok());
   }
   return frontier;
 }
@@ -506,10 +519,20 @@ Status WriteAheadLog::LoadInitialRow(const std::string& row,
 std::map<LogPos, LogEntry> WriteAheadLog::AllEntries() const {
   std::map<LogPos, LogEntry> out;
   const std::string prefix = "!log/" + group_ + "/";
-  for (const std::string& key : store_->KeysWithPrefix(prefix)) {
-    const LogPos pos = ParsePos(std::string_view(key).substr(prefix.size()));
-    Result<LogEntry> entry = GetEntry(pos);
-    if (entry.ok()) out.emplace(pos, *std::move(entry));
+  // One ordered walk of the key range; keys are zero-padded, so it yields
+  // ascending positions and each entry is appended at the map's end.
+  for (const auto& [key, version] : store_->LatestWithPrefix(prefix)) {
+    const std::string_view suffix = std::string_view(key).substr(prefix.size());
+    if (suffix.find('/') != std::string_view::npos) continue;  // other group
+    const LogPos pos = ParsePos(suffix);
+    if (sim::race::Active()) {
+      sim::race::Record(sim::race::AccessKind::kRead,
+                        {"wal", store_->instance_id(), group_, "entry", pos});
+    }
+    const auto encoded = version.attributes->find(kEntryAttr);
+    if (encoded == version.attributes->end()) continue;
+    Result<LogEntry> entry = LogEntry::Decode(encoded->second);
+    if (entry.ok()) out.emplace_hint(out.end(), pos, *std::move(entry));
   }
   return out;
 }

@@ -164,11 +164,11 @@ class WriteAheadLog {
 
   /// Maintains the cross-group side tables (prepare index, pending set,
   /// decision markers, commit-order watermark) for a newly stored entry.
-  void NoteCrossRecords(LogPos pos, const LogEntry& entry);
+  Status NoteCrossRecords(LogPos pos, const LogEntry& entry);
 
   /// Removes `id` from the pending set of prepare position `pos` (no-op if
   /// absent).
-  void ClearPending(LogPos pos, TxnId id);
+  Status ClearPending(LogPos pos, TxnId id);
 
   /// True when every position in (from, to) has a local entry — makes a
   /// decision marker at `to` trustworthy for applying a prepare at `from`

@@ -315,16 +315,21 @@ TEST(StoreTest, TruncateAllCoversEveryKey) {
   }
 }
 
-TEST(StoreTest, KeysWithPrefix) {
+TEST(StoreTest, LatestWithPrefix) {
   MultiVersionStore store;
-  ASSERT_TRUE(store.Write("!log/g/000001", AttrMap{{"e", "x"}}).ok());
   ASSERT_TRUE(store.Write("!log/g/000002", AttrMap{{"e", "y"}}).ok());
+  ASSERT_TRUE(store.Write("!log/g/000001", AttrMap{{"e", "x"}}).ok());
+  ASSERT_TRUE(store.Write("!log/g/000001", AttrMap{{"e", "x2"}}).ok());
   ASSERT_TRUE(store.Write("!log/h/000001", AttrMap{{"e", "z"}}).ok());
   ASSERT_TRUE(store.Write("d/g/row", AttrMap{{"a", "1"}}).ok());
-  const auto keys = store.KeysWithPrefix("!log/g/");
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "!log/g/000001");
-  EXPECT_EQ(keys[1], "!log/g/000002");
+  const auto rows = store.LatestWithPrefix("!log/g/");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].first, "!log/g/000001");
+  EXPECT_EQ(rows[0].second.timestamp, 2u);
+  EXPECT_EQ(rows[0].second.attributes->at("e"), "x2");  // newest version
+  EXPECT_EQ(rows[1].first, "!log/g/000002");
+  EXPECT_EQ(rows[1].second.attributes->at("e"), "y");
+  EXPECT_TRUE(store.LatestWithPrefix("!log/x/").empty());
   EXPECT_EQ(store.KeyCount(), 4u);
 }
 

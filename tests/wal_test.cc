@@ -253,6 +253,28 @@ TEST_F(LogTest, AllEntriesReturnsEverything) {
   EXPECT_TRUE(all.count(1) && all.count(5));
 }
 
+TEST_F(LogTest, AllEntriesMatchesGetEntryAcrossGaps) {
+  // A replica may hold a log with holes; AllEntries must return exactly
+  // the entries GetEntry sees, and nothing of a group whose name extends
+  // this one's key prefix.
+  WriteAheadLog nested(&store_, "g/x");
+  for (LogPos pos : {1, 2, 4, 7}) {
+    ASSERT_TRUE(
+        log_.SetEntry(pos, Entry(MakeTxnId(1, pos), {{"a", "v"}})).ok());
+  }
+  ASSERT_TRUE(nested.SetEntry(3, Entry(MakeTxnId(2, 3), {{"a", "n"}})).ok());
+  const auto all = log_.AllEntries();
+  ASSERT_EQ(all.size(), 4u);
+  for (LogPos pos = 1; pos <= 8; ++pos) {
+    Result<LogEntry> direct = log_.GetEntry(pos);
+    ASSERT_EQ(direct.ok(), all.count(pos) == 1) << pos;
+    if (direct.ok()) {
+      EXPECT_EQ(*direct, all.at(pos)) << pos;
+    }
+  }
+  EXPECT_EQ(nested.AllEntries().size(), 1u);
+}
+
 TEST_F(LogTest, LogsAreIsolatedPerGroup) {
   WriteAheadLog other(&store_, "h");
   ASSERT_TRUE(log_.SetEntry(1, Entry(MakeTxnId(1, 1), {{"a", "g"}})).ok());
