@@ -3,10 +3,10 @@
 // replica's SafeReadPos until *someone* finishes the transaction. This
 // bench runs a cross-group workload whose coordinators always crash
 // mid-2PC and compares the read-frontier pin time with the service-side
-// recovery daemon off (pins survive to the end of the run; only the
-// post-run client quiesce heals them) and on (each pin is closed within
-// the recovery-timer envelope, with no client help at all — the post-run
-// quiesce is disabled to prove it).
+// recovery daemon off during the run (pins survive to the end of it; only
+// the post-run quiesce, which starts the daemon then, heals them) and on
+// (each pin is closed within the recovery-timer envelope, with no client
+// help at all — a run that had the daemon gets no post-run quiesce).
 //
 // Expected shape: daemon-off max pin is essentially the distance from the
 // first crash to the end of the run (tens of seconds); daemon-on max pin
@@ -58,20 +58,19 @@ int main(int argc, char** argv) {
       "post-run quiesce; daemon on: replicas decide crashed transactions "
       "themselves within the timer envelope (D10), no client recovery");
 
-  // Daemon off: the client-driven post-run quiesce (D8) is the only thing
-  // that ever heals the stranded prepares, so the checker stays green but
-  // every pin measured during the run survives to the end of it.
+  // Daemon off: the post-run quiesce (D8) is the only thing that ever
+  // heals the stranded prepares, so the checker stays green but every pin
+  // measured during the run survives to the end of it.
   core::Cluster off_cluster(bench::PaperCluster("VVV"));
   workload::RunnerConfig off_config = RecoveryWorkload();
   workload::RunStats off =
       perf.Run("recovery/daemon_off", &off_cluster, off_config);
 
-  // Daemon on, client quiesce disabled: only the service-side daemon may
-  // heal — green checker here *is* the self-healing claim.
+  // Daemon on, so no post-run quiesce: only the in-run daemon may heal —
+  // green checker here *is* the self-healing claim.
   core::Cluster on_cluster(bench::PaperCluster("VVV"));
   workload::RunnerConfig on_config = RecoveryWorkload();
   on_config.recovery_timer = kRecoveryTimer;
-  on_config.quiesce_recovery = false;
   workload::RunStats on =
       perf.Run("recovery/daemon_on", &on_cluster, on_config);
 

@@ -39,6 +39,14 @@ CheckReport Checker::CheckReplication(
                          " disagrees on log position " + std::to_string(pos));
       }
     }
+    // A replica keeps the first value it applies at a position, so a
+    // second decided value may leave every log agreeing; the rejected
+    // applies are the only trace of it.
+    if (const uint64_t conflicts = cluster_->ApplyConflicts(dc, group)) {
+      report.Violation("(R1) datacenter " + std::to_string(dc) +
+                       " rejected " + std::to_string(conflicts) +
+                       " applies of a conflicting decided value");
+    }
   }
   // Contiguity: positions are contested strictly in order (commit position
   // = read position + 1; promotion only advances past decided positions),

@@ -79,7 +79,9 @@ class Checker {
                             const std::vector<ClientOutcome>& outcomes);
 
   /// (R1) + log contiguity. Also merges all replicas' entries into one
-  /// global log (any replica may be missing suffix entries).
+  /// global log (any replica may be missing suffix entries). (R1) covers
+  /// both logs disagreeing on a position and applies a replica rejected
+  /// because it had already decided a different value there.
   CheckReport CheckReplication(const std::string& group,
                                std::map<LogPos, wal::LogEntry>* global_log);
 

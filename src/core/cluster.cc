@@ -56,6 +56,14 @@ void Cluster::RestartService(DcId dc) {
   if (daemon_was_running) service->StartRecoveryDaemon(daemon_options);
 }
 
+uint64_t Cluster::ApplyConflicts(DcId dc, const std::string& group) const {
+  uint64_t conflicts = services_[dc]->ApplyConflicts(group);
+  for (const auto& retired : retired_services_) {
+    if (retired->dc() == dc) conflicts += retired->ApplyConflicts(group);
+  }
+  return conflicts;
+}
+
 fault::FaultInjector* Cluster::ApplyFaultPlan(const fault::FaultPlan& plan) {
   if (injector_ == nullptr) {
     injector_ = std::make_unique<fault::FaultInjector>(

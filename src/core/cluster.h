@@ -37,6 +37,10 @@ class Cluster {
   kvstore::MultiVersionStore* store(DcId dc) { return stores_[dc].get(); }
   txn::TransactionService* service(DcId dc) { return services_[dc].get(); }
 
+  /// TransactionService::ApplyConflicts of `group` summed over every
+  /// process that has served `dc`, restarted ones included.
+  uint64_t ApplyConflicts(DcId dc, const std::string& group) const;
+
   /// Creates a Transaction Client homed at `dc` (which must be a valid
   /// datacenter index; out-of-range aborts). The returned pointer is owned
   /// by the cluster and stays valid until the cluster is destroyed —

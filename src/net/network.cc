@@ -144,9 +144,48 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
   const TimeMicros request_delay =
       SampleDelay(from, to) + MaybeReorderExtra(from, to);
   const uint64_t request_epoch = ChannelEpoch(from, to);
+  Deliver(from, to, request_delay, request_epoch, request, promise, &rng_,
+          "net/request-leg", "net/response-leg");
+
+  // Duplicate-delivery fault: with probability duplicate_probability (fault
+  // stream), the request also arrives a second time, a little behind the
+  // original. The destination handler runs twice — exactly the re-delivered
+  // prepare/decide/apply the 2PC records must tolerate.
+  if (options_.duplicate_probability > 0 && from != to) {
+    if (sim::race::Active()) {
+      sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
+    }
+    if (fault_rng_.Bernoulli(options_.duplicate_probability)) {
+      // The copy is a message of its own: counted, lossy, and epoch-checked
+      // like any other — it captured the same send-time epoch as the
+      // original, so it still respects outage windows and heal gaps. Every
+      // random draw on either of its legs comes from the fault stream,
+      // leaving the schedule of all non-duplicated traffic untouched.
+      ++messages_sent_;
+      ++messages_duplicated_;
+      if (ShouldDropFrom(&fault_rng_, from, to)) {
+        ++messages_dropped_;
+      } else {
+        const TimeMicros max_lag =
+            std::max<TimeMicros>(options_.reorder_extra_max, 1);
+        const TimeMicros lag = 1 + static_cast<TimeMicros>(fault_rng_.Uniform(
+                                       static_cast<uint64_t>(max_lag)));
+        Deliver(from, to, request_delay + lag, request_epoch, request,
+                promise, &fault_rng_, "net/dup-request", "net/dup-response");
+      }
+    }
+  }
+  return promise.GetFuture();
+}
+
+void Network::Deliver(DcId from, DcId to, TimeMicros delay,
+                      uint64_t request_epoch, const std::any& request,
+                      sim::Promise<CallResult> promise, Rng* rng,
+                      const char* request_tag, const char* response_tag) {
   sim_->ScheduleAfter(
-      request_delay,
-      [this, from, to, promise, request_epoch, request = request]() mutable {
+      delay,
+      [this, from, to, promise, request_epoch, rng, response_tag,
+       request = request]() mutable {
         // Delivery-time check: drop if the destination is down, or if it
         // (or the link traversed) went down at any point while the message
         // was in flight — a heal before arrival does not resurrect it.
@@ -169,130 +208,43 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
         context->handler = handlers_[to];
         context->from = from;
         context->request = std::move(request);
-        context->done = [this, from, to, promise](std::any response) {
-                     // Response leg.
-                     ++messages_sent_;
-                     if (ShouldDrop(to, from)) {
-                       ++messages_dropped_;
-                       return;
-                     }
-                     const TimeMicros response_delay =
-                         SampleDelay(to, from) + MaybeReorderExtra(to, from);
-                     const uint64_t response_epoch = ChannelEpoch(to, from);
-                     sim_->ScheduleAfter(
-                         response_delay,
-                         [this, from, to, promise, response_epoch,
-                          response = std::move(response)]() mutable {
-                           if (sim::race::Active()) {
-                             sim::race::Record(sim::race::AccessKind::kRead,
-                                               {"net", "dc", from});
-                             sim::race::Record(sim::race::AccessKind::kRead,
-                                               {"net", "link", to, from});
-                           }
-                           if (dc_down_[from] ||
-                               ChannelEpoch(to, from) != response_epoch) {
-                             ++messages_dropped_;
-                             return;
-                           }
-                           promise.Set(CallResult{Status::OK(),
-                                                  std::move(response)});
-                         },
-                         "net/response-leg");
+        context->done = [this, from, to, promise, rng,
+                         response_tag](std::any response) {
+          // Response leg. For a duplicate copy a second response is
+          // invisible client-side (sim::Promise is first-set-wins), but it
+          // still costs a message and can be lost.
+          ++messages_sent_;
+          if (ShouldDropFrom(rng, to, from)) {
+            ++messages_dropped_;
+            return;
+          }
+          // Reorder faults hold back original messages only: a duplicate
+          // is already a fault-stream message.
+          TimeMicros response_delay = SampleDelayFrom(rng, to, from);
+          if (rng == &rng_) response_delay += MaybeReorderExtra(to, from);
+          const uint64_t response_epoch = ChannelEpoch(to, from);
+          sim_->ScheduleAfter(
+              response_delay,
+              [this, from, to, promise, response_epoch,
+               response = std::move(response)]() mutable {
+                if (sim::race::Active()) {
+                  sim::race::Record(sim::race::AccessKind::kRead,
+                                    {"net", "dc", from});
+                  sim::race::Record(sim::race::AccessKind::kRead,
+                                    {"net", "link", to, from});
+                }
+                if (dc_down_[from] ||
+                    ChannelEpoch(to, from) != response_epoch) {
+                  ++messages_dropped_;
+                  return;
+                }
+                promise.Set(CallResult{Status::OK(), std::move(response)});
+              },
+              response_tag);
         };
         RunHandler(context);
       },
-      "net/request-leg");
-
-  // Duplicate-delivery fault: with probability duplicate_probability (fault
-  // stream), the request also arrives a second time, a little behind the
-  // original. The destination handler runs twice — exactly the re-delivered
-  // prepare/decide/apply the 2PC records must tolerate.
-  if (options_.duplicate_probability > 0 && from != to) {
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
-    }
-    if (fault_rng_.Bernoulli(options_.duplicate_probability)) {
-      ScheduleDuplicateRequest(from, to, request_delay, request_epoch, request,
-                               promise);
-    }
-  }
-  return promise.GetFuture();
-}
-
-void Network::ScheduleDuplicateRequest(DcId from, DcId to,
-                                       TimeMicros original_delay,
-                                       uint64_t request_epoch,
-                                       const std::any& request,
-                                       sim::Promise<CallResult> promise) {
-  // The copy is a message of its own: counted, lossy, and epoch-checked like
-  // any other — it captured the same send-time epoch as the original, so it
-  // still respects outage windows and heal gaps. Every random draw on either
-  // of its legs comes from the fault stream, leaving the schedule of all
-  // non-duplicated traffic untouched.
-  ++messages_sent_;
-  ++messages_duplicated_;
-  if (ShouldDropFrom(&fault_rng_, from, to)) {
-    ++messages_dropped_;
-    return;
-  }
-  const TimeMicros max_lag =
-      std::max<TimeMicros>(options_.reorder_extra_max, 1);
-  const TimeMicros delay =
-      original_delay + 1 +
-      static_cast<TimeMicros>(fault_rng_.Uniform(static_cast<uint64_t>(max_lag)));
-  sim_->ScheduleAfter(
-      delay,
-      [this, from, to, promise, request_epoch, request = request]() mutable {
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
-      sim::race::Record(sim::race::AccessKind::kRead,
-                        {"net", "link", from, to});
-      sim::race::Record(sim::race::AccessKind::kRead, {"net", "endpoint", to});
-    }
-    if (dc_down_[to] || ChannelEpoch(from, to) != request_epoch) {
-      ++messages_dropped_;
-      return;
-    }
-    if (!handlers_[to]) {
-      ++messages_dropped_;
-      return;
-    }
-    auto* context = new HandlerContext;
-    context->handler = handlers_[to];
-    context->from = from;
-    context->request = std::move(request);
-    context->done = [this, from, to, promise](std::any response) {
-      // Response leg of the copy. Client-side a second response is invisible
-      // anyway (sim::Promise is first-set-wins), but it still costs a
-      // message and can be lost.
-      ++messages_sent_;
-      if (ShouldDropFrom(&fault_rng_, to, from)) {
-        ++messages_dropped_;
-        return;
-      }
-      const TimeMicros response_delay = SampleDelayFrom(&fault_rng_, to, from);
-      const uint64_t response_epoch = ChannelEpoch(to, from);
-      sim_->ScheduleAfter(
-          response_delay,
-          [this, from, to, promise, response_epoch,
-           response = std::move(response)]() mutable {
-            if (sim::race::Active()) {
-              sim::race::Record(sim::race::AccessKind::kRead,
-                                {"net", "dc", from});
-              sim::race::Record(sim::race::AccessKind::kRead,
-                                {"net", "link", to, from});
-            }
-            if (dc_down_[from] || ChannelEpoch(to, from) != response_epoch) {
-              ++messages_dropped_;
-              return;
-            }
-            promise.Set(CallResult{Status::OK(), std::move(response)});
-          },
-          "net/dup-response");
-    };
-    RunHandler(context);
-  },
-      "net/dup-request");
+      request_tag);
 }
 
 sim::Future<BroadcastResult> Network::Broadcast(

@@ -184,13 +184,15 @@ class Network {
   /// which case a Bernoulli(reorder_probability) draw from the fault stream
   /// holds the message back by U(1, reorder_extra_max). Never touches rng_.
   TimeMicros MaybeReorderExtra(DcId from, DcId to);
-  /// Schedules the independent second delivery of a duplicated request. All
-  /// of its randomness (lag behind the original, loss on both legs, response
-  /// delay) comes from the fault stream so the original's schedule — and
-  /// every other message's — is unchanged.
-  void ScheduleDuplicateRequest(DcId from, DcId to, TimeMicros original_delay,
-                                uint64_t request_epoch, const std::any& request,
-                                sim::Promise<CallResult> promise);
+  /// Schedules one delivery of `request`, `delay` from now: the request leg
+  /// (dropped if its channel left `request_epoch` in flight), the handler,
+  /// and the response leg, whose loss and delay are drawn from `rng`. The
+  /// original delivery passes rng_; a duplicated copy passes the fault
+  /// stream, so the original's schedule — and every other message's — is
+  /// unchanged. The tags name the two legs' events.
+  void Deliver(DcId from, DcId to, TimeMicros delay, uint64_t request_epoch,
+               const std::any& request, sim::Promise<CallResult> promise,
+               Rng* rng, const char* request_tag, const char* response_tag);
   /// Outage epoch of the `from` -> `to` channel. Captured when a message is
   /// sent; if it changed by delivery time the message crossed a fault window
   /// and is lost (see the in-flight semantics note above).

@@ -285,14 +285,16 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
   // Leader fast path (§4.1): ask the leader of this position whether we are
   // first; if so, skip the prepare phase and propose with ballot round 0.
-  if (options_.leader_optimization) {
-    // kNoDc should not happen (begin always names a leader); fall back to
-    // the canonical bootstrap leader, never to home_, to preserve the
-    // uniqueness of round-0 grants.
-    const DcId leader = leader_dc == kNoDc ? 0 : leader_dc;
+  // The leader is the winner of the entry below `pos`, the same datacenter
+  // for every proposer, so at most one of them is granted round 0. A caller
+  // that does not know it (kNoDc: a recovery walk, or a begin served by a
+  // replica missing that entry) must not guess: a grant from any other
+  // datacenter would give a second round-0 ballot, and max-ballot value
+  // selection could then decide the position twice.
+  if (options_.leader_optimization && leader_dc != kNoDc) {
     const std::any claim_payload(
         ServiceRequest(ClaimLeaderRequest{group, pos}));
-    net::CallResult claim = co_await network_->Call(home_, leader,
+    net::CallResult claim = co_await network_->Call(home_, leader_dc,
                                                     claim_payload,
                                                     options_.rpc_timeout);
     if (claim.status.ok()) {

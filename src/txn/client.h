@@ -112,8 +112,7 @@ class TransactionClient {
   /// txn/cross.h for the protocol). Slots are already released.
   sim::Coro<CrossCommitResult> CommitCrossTxn(CrossTxnState* state);
 
-  /// One begin leg of BeginCrossTxn (fanned out with sim::Gather when
-  /// parallel_commit is on).
+  /// One begin leg of BeginCrossTxn (fanned out with sim::Gather).
   struct CrossBeginLeg {
     Status status;  // default OK; the remaining fields valid iff ok()
     LogPos read_pos = 0;
@@ -141,6 +140,11 @@ class TransactionClient {
     /// a position: an own-preceded-by-younger prepare is in the log (and
     /// counts toward the crash gate) but must abort.
     LogPos pos = 0;
+    /// Where this group's Phase-2 decide walk starts, and the leader of
+    /// that position: right above the landed prepare, led by the winner of
+    /// its entry; with no prepare landed, the begin position and leader.
+    LogPos decide_floor = 0;
+    DcId decide_leader = kNoDc;
     int promotions = 0;
     std::string detail;     // failure detail (kConflict / kUnavailable)
     bool attempted = false;  // a prepare was proposed in this group
@@ -148,10 +152,9 @@ class TransactionClient {
 
   /// Walks one group's log until this transaction's prepare lands, a
   /// commit-order or read-write conflict aborts it, the group is
-  /// unavailable, or the crash gate trips. Shared by both commit modes:
-  /// sequential awaits legs one at a time, parallel joins them with
-  /// sim::Gather. `state`, `gate` and `stats` outlive the leg (they live
-  /// in the awaiting CommitCrossTxn frame).
+  /// unavailable, or the crash gate trips. CommitCrossTxn joins one leg
+  /// per participant with sim::Gather; `state`, `gate` and `stats` outlive
+  /// the leg (they live in the awaiting CommitCrossTxn frame).
   sim::Coro<CrossPrepareOutcome> PrepareCrossLeg(CrossTxnState* state,
                                                  std::string group,
                                                  CrossCrashGate* gate,
@@ -178,9 +181,11 @@ class TransactionClient {
   /// (commit/abort per `commit`) for transaction `id` at each undecided
   /// position until one lands — or until an existing decide for `id` is
   /// encountered, which is then adopted (first decide wins). Decide
-  /// records read nothing, so they promote past any conflict.
+  /// records read nothing, so they promote past any conflict. `leader` is
+  /// the leader of `floor` (the winner of the entry below it), or kNoDc
+  /// when the caller does not know it, as in recovery walks.
   sim::Coro<DecideOutcome> ProposeDecide(std::string group, LogPos floor,
-                                         TxnId id, bool commit,
+                                         DcId leader, TxnId id, bool commit,
                                          CommitResult* stats);
 
   /// Polls the begin-serving replica path (home datacenter first, same
@@ -194,10 +199,10 @@ class TransactionClient {
   sim::Coro<void> AwaitDecideApplied(std::string group, TxnId id);
 
   /// One Phase-2 propagation leg: lands the canonical decision in `group`
-  /// and barriers on its apply (fanned out with sim::WhenAll under
-  /// parallel_commit).
-  sim::Coro<void> PropagateDecide(std::string group, LogPos floor, TxnId id,
-                                  bool commit, CommitResult* stats);
+  /// and barriers on its apply (fanned out with sim::WhenAll).
+  sim::Coro<void> PropagateDecide(std::string group, LogPos floor,
+                                  DcId leader, TxnId id, bool commit,
+                                  CommitResult* stats);
 
   /// Merged QueryCross over every reachable datacenter: prepare metadata
   /// from the first replica that has it, the canonical decision if any

@@ -233,27 +233,16 @@ sim::Coro<CrossTxn> TransactionClient::BeginCrossTxn(
   // already in any prefix it will read under.
   uint64_t cross_ts = static_cast<uint64_t>(sim_->Now()) + 1;
 
-  // One begin leg per participant — fanned out concurrently under
-  // parallel_commit (D9), sequential in sorted order otherwise. Gather
+  // One begin leg per participant, fanned out concurrently (D9). Gather
   // returns the legs in input order, so the cross_ts fold and the error
   // choice below are deterministic regardless of completion order.
-  std::vector<CrossBeginLeg> begins;
-  if (options_.parallel_commit) {
-    std::vector<sim::Coro<CrossBeginLeg>> legs;
-    legs.reserve(state->groups.size());
-    for (const std::string& group : state->groups) {
-      legs.push_back(BeginCrossLeg(group));
-    }
-    sim::Gather<CrossBeginLeg> join(sim_, std::move(legs));
-    begins = co_await std::move(join);
-  } else {
-    for (const std::string& group : state->groups) {
-      CrossBeginLeg leg = co_await BeginCrossLeg(group);
-      const bool failed = !leg.status.ok();
-      begins.push_back(std::move(leg));
-      if (failed) break;
-    }
+  std::vector<sim::Coro<CrossBeginLeg>> legs;
+  legs.reserve(state->groups.size());
+  for (const std::string& group : state->groups) {
+    legs.push_back(BeginCrossLeg(group));
   }
+  sim::Gather<CrossBeginLeg> begin_join(sim_, std::move(legs));
+  std::vector<CrossBeginLeg> begins = co_await std::move(begin_join);
   for (const CrossBeginLeg& leg : begins) {
     if (!leg.status.ok()) {
       for (const std::string& g : state->groups) active_groups_.erase(g);
@@ -324,43 +313,28 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   const TimeMicros start = sim_->Now();
   const TxnId id = state->id;
 
-  // ---- Phase 1: commit a PREPARE record into every participant log.
-  // Concurrent under parallel_commit (D9): one leg coroutine per group,
-  // joined with sim::Gather, so the phase costs one prepare walk of
-  // wide-area rounds regardless of participant count. The sequential mode
-  // awaits the same legs one at a time in sorted group order and stops at
-  // the first failure, reproducing the one-group-at-a-time coordinator.
-  // Either way the outcomes are aggregated below in sorted group order,
-  // so conflict choice and failure detail are deterministic under any
-  // completion order.
+  // ---- Phase 1: commit a PREPARE record into every participant log,
+  // concurrently (D9): one leg coroutine per group, joined with
+  // sim::Gather, so the phase costs one prepare walk of wide-area rounds
+  // regardless of participant count. The outcomes are aggregated below in
+  // sorted group order, so conflict choice and failure detail are
+  // deterministic under any completion order.
   CrossCrashGate gate;  // crash_after_prepares fault hook (see client.h)
   gate.threshold = options_.crash_after_prepares;
-  std::vector<CrossPrepareOutcome> outcomes;
-  if (options_.parallel_commit) {
-    std::vector<sim::Coro<CrossPrepareOutcome>> legs;
-    legs.reserve(state->groups.size());
-    for (const std::string& group : state->groups) {
-      legs.push_back(PrepareCrossLeg(state, group, &gate, &scratch));
-    }
-    sim::Gather<CrossPrepareOutcome> join(sim_, std::move(legs));
-    outcomes = co_await std::move(join);
-  } else {
-    for (const std::string& group : state->groups) {
-      CrossPrepareOutcome leg =
-          co_await PrepareCrossLeg(state, group, &gate, &scratch);
-      const bool stop = leg.kind != CrossPrepareOutcome::Kind::kPrepared;
-      outcomes.push_back(std::move(leg));
-      if (stop) break;
-    }
+  std::vector<sim::Coro<CrossPrepareOutcome>> legs;
+  legs.reserve(state->groups.size());
+  for (const std::string& group : state->groups) {
+    legs.push_back(PrepareCrossLeg(state, group, &gate, &scratch));
   }
+  sim::Gather<CrossPrepareOutcome> prepare_join(sim_, std::move(legs));
+  std::vector<CrossPrepareOutcome> outcomes =
+      co_await std::move(prepare_join);
 
   bool conflict = false;
   bool prepare_unknown = false;
   std::string fail_detail;
-  std::vector<std::string> attempted;  // groups where a prepare was proposed
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const CrossPrepareOutcome& leg = outcomes[i];
-    if (leg.attempted) attempted.push_back(state->groups[i]);
     if (leg.pos != 0) result.prepare_positions[state->groups[i]] = leg.pos;
     result.promotions += leg.promotions;
     if (conflict || prepare_unknown) continue;  // first failure (in sorted
@@ -393,13 +367,9 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   // (recovery will land it).
   const bool want_commit = !conflict && !prepare_unknown;
   const std::string& commit_group = state->groups.front();
-  LogPos floor = state->legs[commit_group].txn.read_pos + 1;
-  if (auto it = result.prepare_positions.find(commit_group);
-      it != result.prepare_positions.end()) {
-    floor = it->second + 1;
-  }
-  DecideOutcome decide =
-      co_await ProposeDecide(commit_group, floor, id, want_commit, &scratch);
+  DecideOutcome decide = co_await ProposeDecide(
+      commit_group, outcomes.front().decide_floor,
+      outcomes.front().decide_leader, id, want_commit, &scratch);
 
   result.prepare_rounds = scratch.prepare_rounds;
   if (!decide.known) {
@@ -422,42 +392,26 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   result.decision_latency = sim_->Now() - start;
 
   // Propagate the canonical decision to every group where a prepare was
-  // (or may later be) in the log — concurrently under parallel_commit
-  // (one extra round flat in participant count). Must start only AFTER
-  // the canonical decide is known: a participant-group decide is a copy
-  // of the canonical one, and fanning out the *proposed* outcome early
-  // could race a recovery abort in the commit group into divergence.
-  // Each leg barriers on the begin-serving replica applying its decide
-  // (AwaitDecideApplied), and the commit group gets the same barrier, so
-  // Commit's read-your-effects promise holds: a begin issued after this
-  // returns sees every group's new frontier. Best effort: an unreachable
-  // participant is resolved by recovery against the commit group's
-  // canonical decide.
-  if (options_.parallel_commit) {
-    sim::WhenAll join(sim_);
-    join.Add(AwaitDecideApplied(commit_group, id));
-    for (const std::string& group : attempted) {
-      if (group == commit_group) continue;
-      LogPos gfloor = state->legs[group].txn.read_pos + 1;
-      if (auto it = result.prepare_positions.find(group);
-          it != result.prepare_positions.end()) {
-        gfloor = it->second + 1;
-      }
-      join.Add(PropagateDecide(group, gfloor, id, decide.commit, &scratch));
-    }
-    co_await join;
-  } else {
-    co_await AwaitDecideApplied(commit_group, id);
-    for (const std::string& group : attempted) {
-      if (group == commit_group) continue;
-      LogPos gfloor = state->legs[group].txn.read_pos + 1;
-      if (auto it = result.prepare_positions.find(group);
-          it != result.prepare_positions.end()) {
-        gfloor = it->second + 1;
-      }
-      co_await PropagateDecide(group, gfloor, id, decide.commit, &scratch);
-    }
+  // (or may later be) in the log, concurrently (one extra round flat in
+  // participant count). Must start only AFTER the canonical decide is
+  // known: a participant-group decide is a copy of the canonical one, and
+  // fanning out the *proposed* outcome early could race a recovery abort
+  // in the commit group into divergence. Each leg barriers on the
+  // begin-serving replica applying its decide (AwaitDecideApplied), and
+  // the commit group gets the same barrier, so Commit's read-your-effects
+  // promise holds: a begin issued after this returns sees every group's
+  // new frontier. Best effort: an unreachable participant is resolved by
+  // recovery against the commit group's canonical decide.
+  sim::WhenAll join(sim_);
+  join.Add(AwaitDecideApplied(commit_group, id));
+  for (size_t i = 1; i < outcomes.size(); ++i) {  // [0] is the commit group
+    const CrossPrepareOutcome& leg = outcomes[i];
+    if (!leg.attempted) continue;
+    join.Add(PropagateDecide(state->groups[i], leg.decide_floor,
+                             leg.decide_leader, id, decide.commit,
+                             &scratch));
   }
+  co_await join;
   result.prepare_rounds = scratch.prepare_rounds;
 
   if (decide.commit) {
@@ -484,13 +438,13 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
   CrossPrepareOutcome out;
   const TxnId id = state->id;
   const uint64_t ts = state->cross_ts;
-  // Crash gate, checked before proposing anything: in sequential mode
-  // this is the classic "crashed before contacting the next group"
-  // window; in parallel mode it only fires here when the threshold is
-  // zero (all legs start before any prepare lands).
+  TxnState& leg = state->legs[group];
+  out.decide_floor = leg.txn.read_pos + 1;
+  out.decide_leader = leg.txn.leader_dc;
+  // Crash gate, checked before proposing anything. It only fires here when
+  // the threshold is zero: all legs start before any prepare lands.
   if (gate->Tripped()) co_return out;  // kAbandoned, attempted=false
 
-  TxnState& leg = state->legs[group];
   wal::TxnRecord record = leg.txn.ToRecord(home_);
   record.kind = wal::RecordKind::kPrepare;
   record.cross_ts = ts;
@@ -532,6 +486,8 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
       // the shared commit order — the prepare stays in the log but the
       // transaction must abort (the decide makes it a no-op).
       out.pos = pos;
+      out.decide_floor = pos + 1;
+      out.decide_leader = outcome.decided.winner_dc;
       ++gate->landed;
       if (OwnPrecededByYounger(outcome.decided, ts, id)) {
         out.kind = CrossPrepareOutcome::Kind::kConflict;
@@ -556,12 +512,12 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
                    std::to_string(pos) + " in '" + group + "'";
       co_return out;
     }
-    // Re-check the gate before walking on: in parallel mode, prepares
-    // landing on other legs can trip the coordinator mid-walk, leaving
-    // this leg abandoned between positions — the partial-parallel-prepare
-    // window. (Never fires in sequential mode: earlier legs' landings
-    // would have tripped the gate before this leg started, and this leg's
-    // own landing exits above.)
+    // Re-check the gate before walking on: prepares landing on other legs
+    // can trip the coordinator mid-walk, leaving this leg abandoned
+    // between positions — the partial-prepare window. A leg that begins
+    // far behind its group's frontier keeps losing positions while its
+    // siblings land, so this is also how a crash leaves a group with no
+    // trace of the transaction at all.
     if (gate->Tripped()) {
       out.kind = CrossPrepareOutcome::Kind::kAbandoned;
       co_return out;
@@ -573,7 +529,7 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
 }
 
 sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
-    std::string group, LogPos floor, TxnId id, bool commit,
+    std::string group, LogPos floor, DcId leader, TxnId id, bool commit,
     CommitResult* stats) {
   wal::TxnRecord record;
   record.id = id;
@@ -586,7 +542,6 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
 
   DecideOutcome out;
   LogPos pos = floor;
-  DcId leader = kNoDc;
   // Decide records read nothing, so they can promote past any entry; the
   // cap only bounds a runaway walk across a pathologically hot log. It
   // must comfortably exceed any real log length: recovery's forced-abort
@@ -635,11 +590,11 @@ sim::Coro<void> TransactionClient::AwaitDecideApplied(std::string group,
 }
 
 sim::Coro<void> TransactionClient::PropagateDecide(std::string group,
-                                                   LogPos floor, TxnId id,
-                                                   bool commit,
+                                                   LogPos floor, DcId leader,
+                                                   TxnId id, bool commit,
                                                    CommitResult* stats) {
-  DecideOutcome landed = co_await ProposeDecide(group, floor, id, commit,
-                                                stats);
+  DecideOutcome landed =
+      co_await ProposeDecide(group, floor, leader, id, commit, stats);
   if (landed.known) co_await AwaitDecideApplied(group, id);
 }
 

@@ -44,7 +44,7 @@ sim::Coro<RecoveryResult> CrossRecovery::Run(TransactionClient* engine,
   if (!at_cg.has_canonical_decision) {
     const LogPos cg_floor = at_cg.has_prepare ? at_cg.prepare_pos + 1 : 1;
     TransactionClient::DecideOutcome forced = co_await engine->ProposeDecide(
-        commit_group, cg_floor, id, /*commit=*/false, &scratch);
+        commit_group, cg_floor, kNoDc, id, /*commit=*/false, &scratch);
     if (!forced.known) {
       out.status = Status::Unavailable(
           "recovery could not decide txn " + TxnIdToString(id) +
@@ -76,8 +76,8 @@ sim::Coro<RecoveryResult> CrossRecovery::Run(TransactionClient* engine,
       floor = at_part.safe_pos + 1;
     }
     TransactionClient::DecideOutcome propagated =
-        co_await engine->ProposeDecide(participant, floor, id, decision_commit,
-                                       &scratch);
+        co_await engine->ProposeDecide(participant, floor, kNoDc, id,
+                                       decision_commit, &scratch);
     if (!propagated.known) {
       out.status = Status::Unavailable(
           "recovery could not propagate decide of " + TxnIdToString(id) +

@@ -116,13 +116,13 @@ sim::Coro<ServiceResponse> TransactionService::HandleBegin(
   // still be the same at every datacenter (datacenter 0 by convention) —
   // otherwise two clients could each obtain a round-0 fast-path grant from
   // "their" leader and produce two distinct round-0 ballots, which the
-  // recovery rule (max ballot wins) cannot arbitrate safely.
+  // recovery rule (max ballot wins) cannot arbitrate safely. For the same
+  // reason a replica missing the previous entry names no leader (kNoDc),
+  // and the client then skips the fast path.
   response.leader_dc = 0;
   if (response.read_pos > 0) {
     Result<wal::LogEntry> last = gs->log.GetEntry(response.read_pos);
-    if (last.ok() && last->winner_dc != kNoDc) {
-      response.leader_dc = last->winner_dc;
-    }
+    response.leader_dc = last.ok() ? last->winner_dc : kNoDc;
   }
   co_return ServiceResponse(std::move(response));
 }
@@ -180,13 +180,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleApply(
   GroupState* gs = Group(request->group);
   const Status s =
       gs->acceptor.OnApply(request->pos, request->ballot, request->value);
-  if (s.ok()) {
-    NoteEntryLanded(request->group);
-  } else {
-    PAXOSCP_LOG(kError) << "dc " << dc_ << " apply failed at "
-                        << request->group << "[" << request->pos
-                        << "]: " << s.ToString();
-  }
+  NoteApply(request->group, request->pos, s);
   co_return ServiceResponse(ApplyResponse{s.ok()});
 }
 
@@ -267,6 +261,24 @@ void TransactionService::BackgroundApplyTick(uint64_t generation) {
       "txn/applier-tick");
 }
 
+uint64_t TransactionService::ApplyConflicts(const std::string& group) const {
+  auto it = groups_.find(group);
+  return it == groups_.end() ? 0 : it->second->apply_conflicts;
+}
+
+void TransactionService::NoteApply(const std::string& group, LogPos pos,
+                                   const Status& applied) {
+  if (applied.ok()) {
+    NoteEntryLanded(group);
+    return;
+  }
+  if (applied.code() == Status::Code::kCorruption) {
+    ++Group(group)->apply_conflicts;
+  }
+  PAXOSCP_LOG(kError) << "dc " << dc_ << " apply failed at " << group << "["
+                      << pos << "]: " << applied.ToString();
+}
+
 // ------------------------------------------- recovery daemon (D10)
 
 void TransactionService::NoteEntryLanded(const std::string& group) {
@@ -334,13 +346,13 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
   const PendingKey key{group, id};
   if (pin_open_.count(key) == 0) {
     // Resolved while the timer was queued (coordinator finished, another
-    // replica's recovery landed the decide here, client quiesce ran).
+    // replica's recovery landed the decide here, a client recovered it).
     recovery_timed_.erase(key);
     return;
   }
   if (attempt >= recovery_options_.max_attempts) {
-    // Give up: bounds the timer chain under a permanent partition. The
-    // post-run quiesce (when enabled) can still resolve the transaction.
+    // Give up: bounds the timer chain under a permanent partition; the
+    // prepare stays pending and pins SafeReadPos.
     recovery_timed_.erase(key);
     return;
   }
@@ -550,7 +562,7 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
     }
     if (decided.has_value()) {
       Status applied = gs->acceptor.OnApply(pos, ballot, *decided);
-      if (applied.ok()) NoteEntryLanded(group);
+      NoteApply(group, pos, applied);
       co_return applied;
     }
     if (promised >= majority) {
@@ -582,7 +594,7 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
         ServiceRequest apply = ApplyRequest{group, pos, ballot, *winning};
         network_->Broadcast(dc_, all, std::any(apply), bopts);
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
-        if (applied.ok()) NoteEntryLanded(group);
+        NoteApply(group, pos, applied);
         co_return applied;
       }
     }

@@ -106,6 +106,12 @@ class TransactionService {
   /// genuinely undecided.
   sim::Coro<Status> LearnEntry(std::string group, LogPos pos);
 
+  /// Applies to `group` this process rejected because its log already
+  /// held a different value at the position (acceptor OnApply returned
+  /// Corruption): each one is evidence that Paxos decided a position twice,
+  /// an (R1) violation the checker reports. 0 for an unknown group.
+  uint64_t ApplyConflicts(const std::string& group) const;
+
   /// Statistics.
   uint64_t learn_instances() const { return learn_instances_; }
   uint64_t reads_served() const { return reads_served_; }
@@ -168,6 +174,7 @@ class TransactionService {
         : log(store, group), acceptor(store, &log) {}
     wal::WriteAheadLog log;
     paxos::Acceptor acceptor;
+    uint64_t apply_conflicts = 0;  // see ApplyConflicts
   };
 
   GroupState* Group(const std::string& group);
@@ -191,6 +198,11 @@ class TransactionService {
   /// *later* entry: the learner fills the gap between the prepare and the
   /// target instead of re-learning the (present) stalled position.
   sim::Coro<Status> CatchUp(GroupState* group_state, LogPos target);
+
+  /// Bookkeeping after every acceptor OnApply of a decided entry at `pos`:
+  /// a landed entry goes to NoteEntryLanded; a rejected one is logged and,
+  /// when it conflicts with the entry already there, counted.
+  void NoteApply(const std::string& group, LogPos pos, const Status& applied);
 
   // -- Recovery daemon internals (D10) --------------------------------------
 

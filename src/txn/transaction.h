@@ -93,15 +93,10 @@ struct ClientOptions {
   /// kUnknownOutcome, without proposing any decide — once this many
   /// prepares have been decided. -1 = never. This is how the harness
   /// creates the "coordinator dies between prepare and decide" window
-  /// that 2PC recovery must close.
+  /// that 2PC recovery must close. Prepare legs still walking when it
+  /// trips are abandoned between positions, so a participant can be left
+  /// with no prepare at all.
   int crash_after_prepares = -1;
-  /// Cross-group fan-out (D9): begin legs, Phase-1 prepares, and Phase-2
-  /// decide propagation run concurrently (joined with sim::Gather), so a
-  /// cross commit costs ~flat wide-area rounds regardless of participant
-  /// count. Off restores the sequential walk in sorted group order —
-  /// kept for tests that need the exact partial-prepare windows of a
-  /// one-group-at-a-time coordinator.
-  bool parallel_commit = true;
 };
 
 /// True if `txn` reads any item written by a transaction in `winners` — the

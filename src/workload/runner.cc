@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -304,55 +303,21 @@ sim::Task RecoverDecidedTail(RunContext* ctx) {
   co_await std::move(all);
 }
 
-/// Second quiesce stage for cross-group runs: resolves every prepared-but-
-/// undecided cross transaction through the stateless 2PC recovery path
-/// (learn-or-force the canonical decision in the commit group, propagate
-/// it to the participants), exactly what a recovering production system
-/// would do before serving reads past the prepare.
-sim::Coro<void> RecoverOneCross(txn::TransactionClient* recovery_client,
-                                std::string group, TxnId id) {
-  const Status resolved =
-      co_await recovery_client->RecoverCrossTxn(group, id);
-  if (!resolved.ok()) {
-    PAXOSCP_LOG(kWarn) << "cross recovery of " << TxnIdToString(id) << " in "
-                       << group << ": " << resolved.ToString();
+/// Starts the service-side recovery daemon (D10) on every replica: with
+/// the run's base timer while the workload runs, with the default one for
+/// the post-run quiesce.
+void StartRecoveryDaemons(core::Cluster* cluster, const RunnerConfig& config) {
+  txn::RecoveryDaemonOptions options;
+  if (config.recovery_timer > 0) options.base_delay = config.recovery_timer;
+  options.client = config.client;
+  for (DcId dc = 0; dc < cluster->num_datacenters(); ++dc) {
+    cluster->service(dc)->StartRecoveryDaemon(options);
   }
 }
 
-/// Pending cross transactions, deduplicated by id (one recovery resolves
-/// the canonical decision and propagates it to every participant, so the
-/// old once-per-replica sweep was pure redundancy), each tagged with the
-/// first group it was observed pending in.
-std::vector<std::pair<std::string, TxnId>> PendingCrossWork(RunContext* ctx) {
-  core::Cluster* cluster = ctx->cluster;
-  std::set<TxnId> seen;
-  std::vector<std::pair<std::string, TxnId>> work;
-  for (const std::string& group : ctx->group_names) {
-    for (DcId dc = 0; dc < cluster->num_datacenters(); ++dc) {
-      for (const wal::PendingPrepare& p :
-           cluster->service(dc)->GroupLog(group)->PendingPrepares()) {
-        if (seen.insert(p.txn).second) work.emplace_back(group, p.txn);
-      }
-    }
-  }
-  return work;
-}
-
-sim::Task ResolveCrossPending(RunContext* ctx,
-                              txn::TransactionClient* recovery_client) {
-  // First pass: all pending transactions recovered concurrently (they are
-  // independent: distinct ids, and concurrent decide walks on one log are
-  // ordinary Paxos traffic). A second sweep catches anything the first
-  // pass could not resolve — e.g. a replica still partitioned during the
-  // fan-out — after the first pass's decides have settled.
-  for (int pass = 0; pass < 2; ++pass) {
-    std::vector<std::pair<std::string, TxnId>> work = PendingCrossWork(ctx);
-    if (work.empty()) co_return;
-    sim::WhenAll all(ctx->cluster->simulator());
-    for (const auto& [group, id] : work) {
-      all.Add(RecoverOneCross(recovery_client, group, id));
-    }
-    co_await std::move(all);
+void StopRecoveryDaemons(core::Cluster* cluster) {
+  for (DcId dc = 0; dc < cluster->num_datacenters(); ++dc) {
+    cluster->service(dc)->StopRecoveryDaemon();
   }
 }
 
@@ -428,14 +393,7 @@ RunStats RunExperiment(core::Cluster* cluster, const RunnerConfig& config) {
   // Service-side recovery daemon (D10): when requested, every replica arms
   // deterministic timers for pending prepares throughout the run, so a
   // crashed coordinator's transaction is decided without client help.
-  if (config.recovery_timer > 0) {
-    txn::RecoveryDaemonOptions daemon_options;
-    daemon_options.base_delay = config.recovery_timer;
-    daemon_options.client = config.client;
-    for (DcId dc = 0; dc < cluster->num_datacenters(); ++dc) {
-      cluster->service(dc)->StartRecoveryDaemon(daemon_options);
-    }
-  }
+  if (config.recovery_timer > 0) StartRecoveryDaemons(cluster, config);
 
   for (int t = 0; t < config.num_threads; ++t) {
     const int txns = per_thread + (t < remainder ? 1 : 0);
@@ -467,30 +425,23 @@ RunStats RunExperiment(core::Cluster* cluster, const RunnerConfig& config) {
           std::max(stats.max_safe_read_pin, service->MaxSafeReadPosPin(now));
     }
   }
-  if (config.recovery_timer > 0) {
-    for (DcId dc = 0; dc < cluster->num_datacenters(); ++dc) {
-      cluster->service(dc)->StopRecoveryDaemon();
-    }
-  }
+  if (config.recovery_timer > 0) StopRecoveryDaemons(cluster);
 
   if (config.check_invariants) {
     RecoverDecidedTail(ctx.get());
     cluster->RunToCompletion();
     if (ctx->group_names.size() > 1) {
-      if (config.quiesce_recovery) {
-        // Cross-group quiesce (D8): resolve every prepared-but-undecided
-        // cross transaction (crashed coordinators included) through 2PC
-        // recovery, then learn the new decide entries everywhere so the
-        // checker sees the history a recovered system would serve. With
-        // quiesce_recovery off this step is skipped entirely: only the
-        // service-side daemon (D10) may have healed pending prepares, which
-        // is exactly what the chaos harness's daemon slice asserts.
-        txn::ClientOptions recovery_options = config.client;
-        recovery_options.protocol = txn::Protocol::kPaxosCP;
-        txn::TransactionClient* recovery_client =
-            cluster->CreateClient(config.client_dc, recovery_options);
-        ResolveCrossPending(ctx.get(), recovery_client);
+      if (config.recovery_timer <= 0) {
+        // Cross-group quiesce (D8): no daemon ran during the workload, so
+        // crashed coordinators may have left prepares pending. Run the
+        // daemon until it has resolved every one, then learn the new
+        // decide entries everywhere so the checker sees the history a
+        // recovered system would serve. A run that had the daemon is
+        // checked as the daemon left it: that is the self-healing claim
+        // the chaos harness's daemon slice asserts.
+        StartRecoveryDaemons(cluster, config);
         cluster->RunToCompletion();
+        StopRecoveryDaemons(cluster);
         RecoverDecidedTail(ctx.get());
         cluster->RunToCompletion();
       }

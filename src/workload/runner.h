@@ -43,14 +43,12 @@ struct RunnerConfig {
   /// start time) so availability-over-time is observable — the accounting
   /// behind bench/fig_availability and the chaos harness.
   TimeMicros availability_window = 0;
-  /// Run the client-driven post-run 2PC recovery quiesce (on by default;
-  /// requires check_invariants and a multi-group workload). Turn OFF to
-  /// prove the service-side recovery daemon heals pending prepares without
-  /// client help — the chaos harness's daemon slice does exactly that.
-  bool quiesce_recovery = true;
   /// When > 0, every replica runs the service-side recovery daemon (D10)
   /// during the workload with this base timer (jitter/backoff at their
-  /// RecoveryDaemonOptions defaults). 0 leaves the daemon off.
+  /// RecoveryDaemonOptions defaults), and the invariant check sees only
+  /// what it healed. 0 leaves the daemon off during the workload; a
+  /// multi-group run then starts it after the workload, with default
+  /// timers, to resolve any pending prepares before the check.
   TimeMicros recovery_timer = 0;
 };
 

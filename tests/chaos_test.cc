@@ -53,8 +53,8 @@ struct ChaosResult {
   int unknown_in_log = 0;   // client never learned; txn decided anyway
   int unknown_absent = 0;   // client never learned; txn never decided
   /// Pending prepares left on ANY replica of ANY group after the run (and
-  /// its invariant quiesce) finished — the daemon slice requires zero with
-  /// the client-side quiesce disabled.
+  /// its invariant quiesce) finished — the daemon slice requires zero, and
+  /// a run with an in-run daemon gets no post-run quiesce.
   int pending_after = 0;
 
   bool ok() const { return stats.check.ok && stats.all_threads_finished; }
@@ -83,8 +83,9 @@ struct ChaosResult {
 /// one-copy serializability across the union of the groups.
 ///
 /// `daemon` (implies cross-style workloads) hands healing to the
-/// service-side recovery daemon alone (D10): the client-side quiesce is
-/// disabled, every replica runs the daemon, the fault envelope adds
+/// service-side recovery daemon alone (D10): every replica runs the daemon
+/// during the workload (so the runner skips its post-run quiesce), the
+/// fault envelope adds
 /// duplicate-delivery and reorder bursts, and coordinator crashes are
 /// drawn more aggressively. All daemon-mode draws happen AFTER the
 /// original draw sequence, so historical (seed, mode) runs still replay
@@ -133,18 +134,15 @@ ChaosResult RunChaos(uint64_t seed, const fault::PlanEnvelope* shape = nullptr,
     // A third of the cross runs use a crashing coordinator: it abandons
     // the transaction between prepare and decide (after 1 or 2 prepares
     // landed), leaving the 2PC window for recovery to close — under
-    // whatever outages/partitions the fault plan throws at it. Most runs
-    // keep the default parallel fan-out (D9), so those crashes land in
-    // partial-parallel-prepare windows (every leg in flight when the gate
-    // trips); a quarter pin the sequential coordinator to keep the
-    // one-group-at-a-time windows covered too.
+    // whatever outages/partitions the fault plan throws at it. Every leg is
+    // in flight when the gate trips (D9 fan-out), so the crash leaves a
+    // partial-prepare window: legs still walking are abandoned, and their
+    // groups hold no prepare at all.
     if (rng.Uniform(3) == 0) {
       runner.client.crash_after_prepares = 1 + static_cast<int>(rng.Uniform(2));
     }
-    runner.client.parallel_commit = seed % 4 != 3;
   }
   if (daemon) {
-    runner.quiesce_recovery = false;
     runner.recovery_timer = 1 * kSecond;
     // More crashing coordinators than the plain cross slice (the daemon is
     // what's under test); drawn after all original draws so the plain
@@ -154,8 +152,8 @@ ChaosResult RunChaos(uint64_t seed, const fault::PlanEnvelope* shape = nullptr,
     }
   }
   result.stats = workload::RunExperiment(&cluster, runner);
-  // Count pending prepares surviving on any replica of any group: with the
-  // quiesce disabled, only the daemon can have cleared them.
+  // Count pending prepares surviving on any replica of any group: in the
+  // daemon slice, only the in-run daemon can have cleared them.
   for (int g = 0; g < std::max(runner.workload.num_groups, 1); ++g) {
     const std::string name = workload::Generator::GroupName(runner.workload, g);
     for (DcId dc = 0; dc < config.num_datacenters(); ++dc) {
@@ -332,11 +330,11 @@ TEST(ChaosSweepTest, CrossGroupPlansPreserveGlobalSerializability) {
       cross_committed, cross_unknown);
 }
 
-// Self-healing slice (D10): the client-side quiesce is OFF, so the only
-// thing that can resolve a crashed coordinator's pending prepare is the
-// service-side recovery daemon — under fault plans that now also duplicate
-// and reorder deliveries. Every seed must end with ZERO pending prepares
-// on every replica of every group, a green extended checker, and (being a
+// Self-healing slice (D10): the daemon runs during the workload, so the
+// runner skips its post-run quiesce and the only thing that can resolve a
+// crashed coordinator's pending prepare is the in-run daemon — under fault
+// plans that now also duplicate and reorder deliveries. Every seed must
+// end with ZERO pending prepares on every replica of every group, a green extended checker, and (being a
 // pure function of the seed) a bit-identical replay.
 TEST(ChaosSweepTest, DaemonAloneHealsPendingPrepares) {
   const uint64_t replay = EnvOr("PAXOSCP_CHAOS_REPLAY", 0);

@@ -574,44 +574,55 @@ TEST(CrossRecoveryTest, CoordinatorCrashBetweenPrepareAndDecideIsRecovered) {
 TEST(CrossRecoveryTest, PartialPrepareCrashIsRecovered) {
   // The classic blocking-2PC window: the coordinator dies after ONE of
   // two prepares landed — group "a" holds a pending prepare, group "b"
-  // was never contacted. Recovery must force abort through the commit
+  // has no trace of the txn. Recovery must force abort through the commit
   // group and unblock "a" even though "b" has no trace of the txn.
+  //
+  // Reached on the fan-out path: three single-group commits move b's
+  // frontier past the cross transaction's begin position, so b's prepare
+  // leg is still losing positions when a's prepare lands and trips the
+  // crash gate, and the leg is abandoned between positions.
   Db db(TestConfig(47));
   ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
-  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}, {"z", "0"}}).ok());
 
   ClientOptions crashy;
   crashy.crash_after_prepares = 1;
-  // Sequential mode: the "second group never contacted" window only
-  // exists for a one-group-at-a-time coordinator. (The parallel window —
-  // all legs in flight when the gate trips — is covered below in
-  // ParallelPartialPrepareCrashIsRecovered.)
-  crashy.parallel_commit = false;
   Session doomed = db.Session(0, crashy);
+  Session writer = db.Session(0);
 
   struct Probe {
     CrossCommitResult crash_commit;
     TxnId crashed_id = 0;
+    int b_commits = 0;
   } probe;
   struct CrashRun {
-    sim::Task operator()(Session* s, Probe* out) {
+    sim::Task operator()(Session* s, Session* w, Probe* out) {
       const std::vector<std::string> ab = {"a", "b"};
       CrossTxn txn = co_await s->BeginCross(ab);
       EXPECT_TRUE(txn.active()) << txn.begin_status().ToString();
       if (!txn.active()) co_return;
+      for (int i = 0; i < 3; ++i) {
+        txn::TxnResult single = co_await w->RunTransaction(
+            "b", [](txn::Txn* t) -> sim::Coro<Status> {
+              co_return t->Write("row", "z", "moved");
+            });
+        if (single.committed()) ++out->b_commits;
+      }
       out->crashed_id = txn.id();
       (void)txn.Write("a", "row", "x", "half");
       (void)txn.Write("b", "row", "y", "half");
       out->crash_commit = co_await txn.Commit();
     }
   } crash_run;
-  crash_run(&doomed, &probe);
+  crash_run(&doomed, &writer, &probe);
   db.Run();
 
+  ASSERT_EQ(probe.b_commits, 3);
   ASSERT_TRUE(probe.crash_commit.unknown)
       << probe.crash_commit.status.ToString();
   // Exactly one prepare landed: the partial window is real.
   ASSERT_EQ(probe.crash_commit.prepare_positions.size(), 1u);
+  ASSERT_EQ(probe.crash_commit.prepare_positions.count("a"), 1u);
   EXPECT_FALSE(
       db.cluster()->service(0)->GroupLog("a")->PendingPrepares().empty());
   EXPECT_TRUE(
@@ -649,7 +660,7 @@ TEST(CrossRecoveryTest, ParallelPartialPrepareCrashIsRecovered) {
   ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
 
   ClientOptions crashy;
-  crashy.crash_after_prepares = 1;  // parallel_commit stays default (on)
+  crashy.crash_after_prepares = 1;
   Session doomed = db.Session(0, crashy);
 
   struct Probe {
@@ -814,7 +825,7 @@ DeterminismRun RunShardedWorkload(uint64_t seed) {
   runner.num_threads = 3;
   runner.stagger = 200 * kMillisecond;
   runner.target_rate_tps = 1.0;
-  runner.seed = seed;  // parallel_commit stays default (on)
+  runner.seed = seed;
 
   DeterminismRun out;
   out.stats = workload::RunExperiment(&cluster, runner);
@@ -856,6 +867,41 @@ TEST(CrossDeterminismTest, ShardedWorkloadReplaysIdentically) {
   EXPECT_GT(first.stats.cross_committed, 0);
   EXPECT_TRUE(first.stats.check.ok) << first.stats.check.ToString();
   EXPECT_TRUE(second.stats.check.ok) << second.stats.check.ToString();
+}
+
+TEST(CrossDeterminismTest, MultiHomedClientsDecideEachPositionOnce) {
+  // Clients homed away from dc0 lead positions their own entries won. A
+  // decide walk that claimed its round-0 grant at dc0 instead of at the
+  // position's leader held a second round-0 ballot beside the leader's
+  // grantee, and max-ballot value selection then decided the position
+  // twice: replicas rejected applies of the second value and the logs
+  // lost committed transactions. Each walk now starts at the leader named
+  // by the entry below it, or skips the fast path when it does not know it.
+  core::ClusterConfig config = TestConfig(11);
+  core::Cluster cluster(config);
+
+  workload::RunnerConfig runner;
+  runner.workload.num_attributes = 100;
+  runner.workload.ops_per_txn = 10;
+  runner.workload.read_fraction = 0.5;
+  runner.workload.num_groups = 3;
+  runner.workload.cross_fraction = 0.5;
+  runner.total_txns = 240;
+  runner.num_threads = 4;
+  runner.stagger = 250 * kMillisecond;
+  runner.thread_dcs = {0, 1, 2, 0};
+  runner.seed = 7;
+
+  const workload::RunStats stats = workload::RunExperiment(&cluster, runner);
+  EXPECT_GT(stats.cross_committed, 0);
+  EXPECT_TRUE(stats.check.ok) << stats.check.ToString();
+  for (int g = 0; g < runner.workload.num_groups; ++g) {
+    const std::string name = workload::Generator::GroupName(runner.workload, g);
+    for (DcId dc = 0; dc < config.num_datacenters(); ++dc) {
+      EXPECT_EQ(cluster.ApplyConflicts(dc, name), 0u)
+          << "group " << name << " dc " << dc;
+    }
+  }
 }
 
 // ------------------------------------------------------- idempotence (D10)

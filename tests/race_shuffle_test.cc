@@ -244,11 +244,9 @@ RunFingerprint RunSlice(Slice slice, uint64_t chaos_seed,
     if (rng.Uniform(3) == 0) {
       runner.client.crash_after_prepares = 1 + static_cast<int>(rng.Uniform(2));
     }
-    runner.client.parallel_commit = chaos_seed % 4 != 3;
     runner.availability_window = 2 * kSecond;
   }
   if (slice == Slice::kChaosDaemon) {
-    runner.quiesce_recovery = false;
     runner.recovery_timer = 1 * kSecond;
     if (runner.client.crash_after_prepares < 0 && rng.Uniform(2) == 0) {
       runner.client.crash_after_prepares = 1 + static_cast<int>(rng.Uniform(2));
