@@ -12,7 +12,6 @@ Cluster::Cluster(ClusterConfig config)
   net::NetworkOptions net_options;
   net_options.loss_probability = config_.loss_probability;
   net_options.latency_jitter = config_.latency_jitter;
-  net_options.default_timeout = config_.message_timeout;
   net_options.seed = NextSeed();
   network_ = std::make_unique<net::Network>(&simulator_, config_.RttMatrix(),
                                             net_options);
@@ -45,8 +44,7 @@ void Cluster::RestartService(DcId dc) {
     retired_services_.push_back(std::move(services_[dc]));
   }
   services_[dc] = std::make_unique<txn::TransactionService>(
-      dc, network_.get(), stores_[dc].get(), config_.service_times,
-      NextSeed());
+      dc, network_.get(), stores_[dc].get(), NextSeed());
   txn::TransactionService* service = services_[dc].get();
   network_->RegisterEndpoint(
       dc, [service](DcId from, const std::any* request) {

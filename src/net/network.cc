@@ -33,8 +33,6 @@ sim::Task RunHandler(HandlerContext* raw_context) {
 struct BroadcastAggregator {
   std::vector<TargetResult> results;
   int resolved = 0;
-  int successes = 0;
-  bool grace_scheduled = false;
 };
 
 }  // namespace
@@ -122,7 +120,7 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
                                       TimeMicros timeout) {
   assert(from >= 0 && from < num_datacenters());
   assert(to >= 0 && to < num_datacenters());
-  if (timeout <= 0) timeout = options_.default_timeout;
+  if (timeout <= 0) timeout = kMessageTimeout;
   ++calls_started_;
 
   sim::Promise<CallResult> promise(sim_);
@@ -249,7 +247,7 @@ void Network::Deliver(DcId from, DcId to, TimeMicros delay,
 
 sim::Future<BroadcastResult> Network::Broadcast(
     DcId from, const std::vector<DcId>& targets, const std::any& request,
-    const BroadcastOptions& options) {
+    TimeMicros timeout) {
   sim::Promise<BroadcastResult> promise(sim_);
   auto agg = std::make_shared<BroadcastAggregator>();
   const int n = static_cast<int>(targets.size());
@@ -263,32 +261,14 @@ sim::Future<BroadcastResult> Network::Broadcast(
     return promise.GetFuture();
   }
 
-  auto finish = [promise, agg] { promise.Set(agg->results); };
-
   for (int i = 0; i < n; ++i) {
-    Call(from, targets[i], request, options.timeout)
-        .OnReady([this, i, n, agg, finish, options,
-                  promise](CallResult&& result) {
-          if (promise.IsSet()) return;  // already resolved (quorum early)
+    // Each call resolves exactly once (response or timeout, first wins), so
+    // the last one to resolve hands the whole vector over, moved.
+    Call(from, targets[i], request, timeout)
+        .OnReady([i, n, agg, promise](CallResult&& result) {
           agg->results[i].status = result.status;
           agg->results[i].response = std::move(result.response);
-          agg->resolved++;
-          if (result.status.ok()) agg->successes++;
-
-          if (agg->resolved == n) {
-            finish();
-            return;
-          }
-          if (options.policy == WaitPolicy::kQuorumEarly &&
-              agg->successes >= options.quorum && !agg->grace_scheduled) {
-            agg->grace_scheduled = true;
-            if (options.grace <= 0) {
-              finish();
-            } else {
-              sim_->ScheduleAfter(options.grace, finish,
-                                  "net/broadcast-grace");
-            }
-          }
+          if (++agg->resolved == n) promise.Set(std::move(agg->results));
         });
   }
   return promise.GetFuture();

@@ -42,25 +42,18 @@ using BroadcastResult = std::vector<TargetResult>;
 using ServiceHandler =
     std::function<sim::Coro<std::any>(DcId from, const std::any* request)>;
 
-/// How long to wait for broadcast responses.
-enum class WaitPolicy {
-  /// Wait until every target either responded or timed out (paper default:
-  /// the client keeps collecting votes until the timeout window closes, so
-  /// in practice it sees "more than a simple majority" of responses, §5).
-  kAll,
-  /// Resume as soon as `quorum` successful responses arrived (plus an
-  /// optional grace period); stragglers are marked Unavailable. Used by the
-  /// wait-policy ablation.
-  kQuorumEarly,
-};
+/// Per-call timeout (paper §2.2: "either the message arrives before a known
+/// timeout or it is lost", two seconds). A Broadcast waits until every
+/// target responded or timed out, so the client keeps collecting votes
+/// until this window closes and in practice sees "more than a simple
+/// majority" of responses (§5).
+inline constexpr TimeMicros kMessageTimeout = 2 * kSecond;
 
 struct NetworkOptions {
   /// Probability that any single one-way message is silently dropped.
   double loss_probability = 0.0;
   /// One-way delay is rtt/2 * (1 + U(-jitter, +jitter)).
   double latency_jitter = 0.10;
-  /// Per-call timeout when the caller passes 0 (paper: 2 seconds).
-  TimeMicros default_timeout = 2 * kSecond;
   /// RNG seed for delay jitter and loss decisions.
   uint64_t seed = 1;
 
@@ -84,13 +77,6 @@ struct NetworkOptions {
   TimeMicros reorder_extra_max = 200 * kMillisecond;
 };
 
-struct BroadcastOptions {
-  WaitPolicy policy = WaitPolicy::kAll;
-  int quorum = 0;                 // used by kQuorumEarly
-  TimeMicros grace = 0;           // extra wait after quorum reached
-  TimeMicros timeout = 0;         // 0 => NetworkOptions::default_timeout
-};
-
 class Network {
  public:
   /// `rtt_matrix[a][b]` is the round-trip time between datacenters a and b
@@ -104,19 +90,20 @@ class Network {
   void RegisterEndpoint(DcId dc, ServiceHandler handler);
 
   /// Sends `request` from `from` to `to`; resolves with the response or
-  /// TimedOut. `timeout` of 0 uses the default (2 s). The request is taken
+  /// TimedOut. `timeout` of 0 uses kMessageTimeout. The request is taken
   /// by reference and copied internally — callers in coroutines must pass a
   /// named object, never a temporary inside a co_await expression (see
   /// sim/coro.h on GCC 12 cross-suspension temporary hazards).
   sim::Future<CallResult> Call(DcId from, DcId to, const std::any& request,
                                TimeMicros timeout = 0);
 
-  /// Sends `request` to every target in parallel and gathers the results
-  /// according to the wait policy. The result vector is ordered as `targets`.
+  /// Sends `request` to every target in parallel and resolves once every
+  /// target responded or timed out (`timeout` as in Call). The result
+  /// vector is ordered as `targets`.
   sim::Future<BroadcastResult> Broadcast(DcId from,
                                          const std::vector<DcId>& targets,
                                          const std::any& request,
-                                         const BroadcastOptions& options);
+                                         TimeMicros timeout = 0);
 
   // -- Fault injection ------------------------------------------------------
   //
@@ -165,7 +152,6 @@ class Network {
   void ResetStats();
 
   sim::Simulator* simulator() const { return sim_; }
-  TimeMicros default_timeout() const { return options_.default_timeout; }
 
  private:
   /// Samples the one-way delay from `from` to `to` using `rng` (the main

@@ -34,8 +34,11 @@ enum class AccessKind : uint8_t { kRead, kWrite };
 
 /// The detector attached to the simulator whose event is currently
 /// executing on this thread (nullptr when detached — the common case).
-/// Maintained by Simulator::Step around every event callback.
-extern thread_local RaceDetector* g_active_detector;
+/// Maintained by Simulator::Step around every event callback. constinit:
+/// with no dynamic initializer to run, every access is a direct TLS load.
+/// Without it GCC 12 reaches the variable through its TLS wrapper, which
+/// UBSan (-fsanitize=null) misreports as a null load in optimized builds.
+extern constinit thread_local RaceDetector* g_active_detector;
 
 inline bool Active() { return g_active_detector != nullptr; }
 

@@ -8,6 +8,19 @@
 
 namespace paxoscp::txn {
 
+namespace {
+
+/// Randomized backoff between prepare/accept rounds (Algorithm 2: "sleep
+/// for random time period").
+constexpr TimeMicros kBackoffMin = 5 * kMillisecond;
+constexpr TimeMicros kBackoffMax = 50 * kMillisecond;
+/// Randomized backoff between Session::RunTransaction attempts that lost
+/// to a conflict (RetryPolicy).
+constexpr TimeMicros kRetryBackoffMin = 20 * kMillisecond;
+constexpr TimeMicros kRetryBackoffMax = 200 * kMillisecond;
+
+}  // namespace
+
 TransactionClient::TransactionClient(net::Network* network, DcId home,
                                      const ClientOptions& options,
                                      uint32_t client_uid, uint64_t seed)
@@ -24,11 +37,11 @@ TransactionClient::TransactionClient(net::Network* network, DcId home,
 }
 
 TimeMicros TransactionClient::RandomBackoff() {
-  return rng_.UniformRange(options_.backoff_min, options_.backoff_max);
+  return rng_.UniformRange(kBackoffMin, kBackoffMax);
 }
 
-TimeMicros TransactionClient::RandomBackoffIn(TimeMicros lo, TimeMicros hi) {
-  return rng_.UniformRange(lo, hi);
+TimeMicros TransactionClient::RetryBackoff() {
+  return rng_.UniformRange(kRetryBackoffMin, kRetryBackoffMax);
 }
 
 void TransactionClient::ReleaseGroup(const std::string& group) {
@@ -43,8 +56,7 @@ sim::Coro<net::CallResult> TransactionClient::CallWithFailover(
   for (int attempt = 0; attempt < network_->num_datacenters(); ++attempt) {
     const DcId target = (home_ + attempt) % network_->num_datacenters();
     const std::any payload(*request);
-    last = co_await network_->Call(home_, target, payload,
-                                   options_.rpc_timeout);
+    last = co_await network_->Call(home_, target, payload);
     if (last.status.ok()) co_return last;
   }
   co_return last;
@@ -52,13 +64,8 @@ sim::Coro<net::CallResult> TransactionClient::CallWithFailover(
 
 sim::Coro<net::BroadcastResult> TransactionClient::BroadcastToAll(
     const ServiceRequest* request) {
-  net::BroadcastOptions bopts;
-  bopts.policy = options_.wait_policy;
-  bopts.quorum = majority_;
-  bopts.grace = options_.quorum_grace;
-  bopts.timeout = options_.rpc_timeout;
   const std::any payload(*request);
-  co_return co_await network_->Broadcast(home_, all_dcs_, payload, bopts);
+  co_return co_await network_->Broadcast(home_, all_dcs_, payload);
 }
 
 sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
@@ -242,28 +249,13 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
                                   wal::RecordKind own_kind,
                                   paxos::Ballot* max_seen) {
   ServiceRequest accept_request = AcceptRequest{group, pos, ballot, *proposal};
-  net::BroadcastResult aresults = co_await BroadcastToAll(&accept_request);
-  int accepted = 0;
-  for (net::TargetResult& tr : aresults) {
-    if (!tr.status.ok()) continue;
-    const auto& response = std::any_cast<const ServiceResponse&>(tr.response);
-    const paxos::AcceptResult& ar = std::get<AcceptResponse>(response).result;
-    if (ar.accepted) {
-      ++accepted;
-    } else {
-      *max_seen = std::max(*max_seen, ar.next_bal);
-    }
-  }
-  if (accepted < majority_) co_return std::nullopt;
+  const net::BroadcastResult aresults =
+      co_await BroadcastToAll(&accept_request);
+  if (TallyAccepts(aresults, max_seen) < majority_) co_return std::nullopt;
 
-  // Decided. Send apply to every replica (Step 5; fire-and-forget — the
-  // client does not need the acknowledgements to report its outcome).
-  net::BroadcastOptions bopts;
-  bopts.timeout = options_.rpc_timeout;
-  network_->Broadcast(home_, all_dcs_,
-                      std::any(ServiceRequest(
-                          ApplyRequest{group, pos, ballot, *proposal})),
-                      bopts);
+  // Decided. Send apply to every replica (Step 5).
+  BroadcastApply(network_, home_, all_dcs_,
+                 ApplyRequest{group, pos, ballot, *proposal});
   InstanceOutcome outcome;
   outcome.kind = proposal->ContainsRecord(own_id, own_kind)
                      ? InstanceOutcome::Kind::kWon
@@ -294,9 +286,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
   if (options_.leader_optimization && leader_dc != kNoDc) {
     const std::any claim_payload(
         ServiceRequest(ClaimLeaderRequest{group, pos}));
-    net::CallResult claim = co_await network_->Call(home_, leader_dc,
-                                                    claim_payload,
-                                                    options_.rpc_timeout);
+    net::CallResult claim =
+        co_await network_->Call(home_, leader_dc, claim_payload);
     if (claim.status.ok()) {
       const auto& response =
           std::any_cast<const ServiceResponse&>(claim.response);
@@ -321,34 +312,19 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
     net::BroadcastResult presults =
         co_await BroadcastToAll(&prepare_request);
-    std::vector<paxos::LastVote> votes;
-    std::optional<wal::LogEntry> decided;
-    int promised = 0;
-    for (net::TargetResult& tr : presults) {
-      if (!tr.status.ok()) continue;
-      const auto& response =
-          std::any_cast<const ServiceResponse&>(tr.response);
-      const paxos::PrepareResult& pr =
-          std::get<PrepareResponse>(response).result;
-      if (pr.decided.has_value() && !decided.has_value()) decided = pr.decided;
-      max_seen = std::max(max_seen, pr.next_bal);
-      if (pr.promised) {
-        ++promised;
-        votes.push_back(paxos::LastVote{tr.dc, pr.vote_ballot, pr.vote_value});
-      }
-    }
+    PrepareTally tally = TallyPrepares(&presults, &max_seen);
 
     // Catch-up short circuit: a replica already knows the decided value.
-    if (decided.has_value()) {
+    if (tally.decided.has_value()) {
       InstanceOutcome outcome;
-      outcome.kind = decided->ContainsRecord(own_id, own_kind)
+      outcome.kind = tally.decided->ContainsRecord(own_id, own_kind)
                          ? InstanceOutcome::Kind::kWon
                          : InstanceOutcome::Kind::kLost;
-      outcome.decided = *std::move(decided);
+      outcome.decided = *std::move(tally.decided);
       co_return outcome;
     }
 
-    if (promised < majority_) {
+    if (tally.promised < majority_) {
       co_await sim::SleepFor(sim_, RandomBackoff());
       continue;
     }
@@ -357,7 +333,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     wal::LogEntry proposal;
     if (options_.protocol == Protocol::kPaxosCP) {
       paxos::SelectionDecision decision = paxos::EnhancedFindWinningValue(
-          votes, promised, network_->num_datacenters(), *own,
+          tally.votes, tally.promised, network_->num_datacenters(), *own,
           options_.combine);
       if (decision.kind == paxos::SelectionKind::kLost) {
         // A competing value certainly won; stop before the accept phase
@@ -370,7 +346,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
       }
       proposal = std::move(decision.value);
     } else {
-      std::optional<wal::LogEntry> winning = paxos::FindWinningValue(votes);
+      std::optional<wal::LogEntry> winning =
+          paxos::FindWinningValue(tally.votes);
       proposal = winning.has_value() ? *std::move(winning) : *own;
     }
 

@@ -219,9 +219,9 @@ class TransactionClient {
   };
   sim::Coro<CrossQueryResult> QueryCrossAll(std::string group, TxnId id);
 
-  /// Uniform draw from the client's RNG (Session retry backoff shares the
-  /// protocol RNG so a workload run consumes one deterministic stream).
-  TimeMicros RandomBackoffIn(TimeMicros lo, TimeMicros hi);
+  /// Backoff before a Session retry, drawn from the protocol RNG so a
+  /// workload run consumes one deterministic stream.
+  TimeMicros RetryBackoff();
 
   /// Runs one Paxos instance for `pos`, proposing `own`. Implements
   /// Algorithm 2 (prepare / accept / apply with randomized backoff), the

@@ -606,8 +606,7 @@ TransactionClient::QueryCrossAll(std::string group, TxnId id) {
   for (int dc = 0; dc < network_->num_datacenters(); ++dc) {
     const std::any payload(ServiceRequest(QueryCrossRequest{group, id}));
     net::CallResult r = co_await network_->Call(
-        home_, (home_ + dc) % network_->num_datacenters(), payload,
-        options_.rpc_timeout);
+        home_, (home_ + dc) % network_->num_datacenters(), payload);
     if (!r.status.ok()) continue;
     const auto& resp = std::any_cast<const ServiceResponse&>(r.response);
     const auto& q = std::get<QueryCrossResponse>(resp);
@@ -684,8 +683,7 @@ sim::Coro<CrossTxnResult> Session::RunTransaction(
     result.outcome = ClassifyCrossCommit(result.commit);
     if (result.outcome != TxnOutcome::kConflict) co_return result;
     if (result.attempts >= retry.max_attempts) co_return result;
-    const TimeMicros backoff =
-        client_->RandomBackoffIn(retry.backoff_min, retry.backoff_max);
+    const TimeMicros backoff = client_->RetryBackoff();
     if (deadline_at != 0 && sim->Now() + backoff >= deadline_at) {
       co_return result;
     }

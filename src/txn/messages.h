@@ -7,6 +7,7 @@
 // ServiceRequest / ServiceResponse variant.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -14,8 +15,10 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "net/network.h"
 #include "paxos/acceptor.h"
 #include "paxos/ballot.h"
+#include "paxos/value_selection.h"
 #include "wal/log.h"
 #include "wal/log_entry.h"
 
@@ -146,5 +149,34 @@ using ServiceResponse =
 
 /// Human-readable message-type name (for traces and message accounting).
 const char* RequestName(const ServiceRequest& request);
+
+// -- Paxos broadcast tallies ------------------------------------------------
+// One reading of prepare and accept broadcasts, and one apply broadcast,
+// shared by the client's commit instances and the service's learner. Plain
+// functions, not coroutines: they add no frames (and so no frame-destroy
+// events) to the simulation.
+
+/// What a prepare broadcast collected (Algorithm 2, step 2).
+struct PrepareTally {
+  /// The first decided value any replica reported (catch-up short circuit).
+  std::optional<wal::LogEntry> decided;
+  /// Replicas that granted the ballot, and their last votes.
+  int promised = 0;
+  std::vector<paxos::LastVote> votes;
+};
+
+/// Tallies the PrepareResponses in `results`, moving the reported values
+/// out of them, and raises `*max_seen` to every next_bal reported.
+PrepareTally TallyPrepares(net::BroadcastResult* results,
+                           paxos::Ballot* max_seen);
+
+/// Counts the accepting AcceptResponses in `results` and raises `*max_seen`
+/// to the next_bal of every rejection.
+int TallyAccepts(const net::BroadcastResult& results, paxos::Ballot* max_seen);
+
+/// Sends the decided `request` to `targets` (step 5). Fire-and-forget: the
+/// proposer's outcome does not depend on the acknowledgements.
+void BroadcastApply(net::Network* network, DcId from,
+                    const std::vector<DcId>& targets, ApplyRequest request);
 
 }  // namespace paxoscp::txn

@@ -16,6 +16,39 @@ namespace {
 constexpr int kMaxLearnAttempts = 8;
 constexpr int kMaxCatchUpSteps = 4096;
 
+// Simulated processing cost of each request type, calibrated in
+// EXPERIMENTS.md against the paper's testbed (HBase on EBS-backed EC2
+// c1.medium nodes in 2012; storage operations dominated intra-datacenter
+// network hops). The calibration targets the paper's observed contention
+// regime: ~42% of basic-Paxos transactions abort with 4 staggered clients
+// at 1 txn/s each, which requires a transaction to span more than one
+// inter-arrival gap.
+constexpr TimeMicros kBeginTime = 10 * kMillisecond;    // read log metadata
+constexpr TimeMicros kReadTime = 60 * kMillisecond;     // snapshot read + apply
+constexpr TimeMicros kPrepareTime = 15 * kMillisecond;  // acceptor read + CAS
+constexpr TimeMicros kAcceptTime = 15 * kMillisecond;
+constexpr TimeMicros kApplyTime = 20 * kMillisecond;    // log write
+constexpr TimeMicros kClaimTime = 5 * kMillisecond;
+
+// Recovery daemon timers (D10). Every replica adds a deterministic
+// per-(replica, txn) jitter below kRecoveryMaxJitter to the base delay,
+// desynchronizing the replicas' timers.
+constexpr TimeMicros kRecoveryMaxJitter = 500 * kMillisecond;
+/// Backoff before re-considering a transaction whose recovery attempt
+/// failed or was deferred to the arbiter; doubles per attempt, capped.
+constexpr TimeMicros kRecoveryRetryBackoff = 1 * kSecond;
+constexpr TimeMicros kRecoveryMaxBackoff = 8 * kSecond;
+/// Attempt cap per pending transaction: bounds the timer chain so an
+/// unresolvable transaction (e.g. under a permanent partition) cannot keep
+/// the simulator's event queue alive forever.
+constexpr int kRecoveryMaxAttempts = 16;
+/// Attempt index from which a non-arbiter replica drives recovery itself
+/// instead of deferring: the arbiter may never have seen this prepare (its
+/// replica can be missing the entry), so pure deference could stall
+/// forever. Escalated duplicate drives are safe — recovery is idempotent;
+/// arbitration only avoids the common-case recovery storm.
+constexpr int kRecoveryEscalateAfter = 4;
+
 std::vector<DcId> AllDatacenters(int d) {
   std::vector<DcId> all(d);
   std::iota(all.begin(), all.end(), 0);
@@ -37,12 +70,10 @@ uint64_t HashMix(uint64_t x) {
 
 TransactionService::TransactionService(DcId dc, net::Network* network,
                                        kvstore::MultiVersionStore* store,
-                                       const ServiceTimeModel& model,
                                        uint64_t seed)
     : dc_(dc),
       network_(network),
       store_(store),
-      model_(model),
       rng_(seed),
       seed_(seed) {}
 
@@ -95,7 +126,7 @@ sim::Coro<std::any> TransactionService::Handle(DcId from,
 
 sim::Coro<ServiceResponse> TransactionService::HandleBegin(
     const BeginRequest* request) {
-  co_await sim::SleepFor(network_->simulator(), model_.begin);
+  co_await sim::SleepFor(network_->simulator(), kBeginTime);
   GroupState* gs = Group(request->group);
   BeginResponse response;
   if (request->cross) {
@@ -129,7 +160,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleBegin(
 
 sim::Coro<ServiceResponse> TransactionService::HandleRead(
     const ReadRequest* request) {
-  co_await sim::SleepFor(network_->simulator(), model_.read);
+  co_await sim::SleepFor(network_->simulator(), kReadTime);
   GroupState* gs = Group(request->group);
   ReadResponse response;
   response.status = co_await CatchUp(gs, request->read_pos);
@@ -144,7 +175,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleReadRow(
     const ReadRowRequest* request) {
   // One full-row read costs one storage operation, like an item read (in
   // the paper's HBase testbed both fetch one row).
-  co_await sim::SleepFor(network_->simulator(), model_.read);
+  co_await sim::SleepFor(network_->simulator(), kReadTime);
   GroupState* gs = Group(request->group);
   ReadRowResponse response;
   response.status = co_await CatchUp(gs, request->read_pos);
@@ -157,7 +188,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleReadRow(
 
 sim::Coro<ServiceResponse> TransactionService::HandlePrepare(
     const PrepareRequest* request) {
-  co_await sim::SleepFor(network_->simulator(), model_.prepare);
+  co_await sim::SleepFor(network_->simulator(), kPrepareTime);
   GroupState* gs = Group(request->group);
   PrepareResponse response;
   response.result = gs->acceptor.OnPrepare(request->pos, request->ballot);
@@ -166,7 +197,7 @@ sim::Coro<ServiceResponse> TransactionService::HandlePrepare(
 
 sim::Coro<ServiceResponse> TransactionService::HandleAccept(
     const AcceptRequest* request) {
-  co_await sim::SleepFor(network_->simulator(), model_.accept);
+  co_await sim::SleepFor(network_->simulator(), kAcceptTime);
   GroupState* gs = Group(request->group);
   AcceptResponse response;
   response.result =
@@ -176,7 +207,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleAccept(
 
 sim::Coro<ServiceResponse> TransactionService::HandleApply(
     const ApplyRequest* request) {
-  co_await sim::SleepFor(network_->simulator(), model_.apply);
+  co_await sim::SleepFor(network_->simulator(), kApplyTime);
   GroupState* gs = Group(request->group);
   const Status s =
       gs->acceptor.OnApply(request->pos, request->ballot, request->value);
@@ -186,7 +217,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleApply(
 
 sim::Coro<ServiceResponse> TransactionService::HandleClaimLeader(
     const ClaimLeaderRequest* request) {
-  co_await sim::SleepFor(network_->simulator(), model_.claim);
+  co_await sim::SleepFor(network_->simulator(), kClaimTime);
   GroupState* gs = Group(request->group);
   ClaimLeaderResponse response;
   response.granted = gs->acceptor.TryClaimLeadership(request->pos);
@@ -195,7 +226,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleClaimLeader(
 
 sim::Coro<ServiceResponse> TransactionService::HandleQueryCross(
     const QueryCrossRequest* request) {
-  co_await sim::SleepFor(network_->simulator(), model_.begin);
+  co_await sim::SleepFor(network_->simulator(), kBeginTime);
   GroupState* gs = Group(request->group);
   QueryCrossResponse response;
   const wal::PrepareInfo prep = gs->log.PrepareFor(request->txn);
@@ -217,48 +248,6 @@ sim::Coro<ServiceResponse> TransactionService::HandleQueryCross(
   }
   response.safe_pos = gs->log.SafeReadPos();
   co_return ServiceResponse(std::move(response));
-}
-
-void TransactionService::StartBackgroundApplier(TimeMicros interval,
-                                                int64_t gc_keep_versions) {
-  const bool was_running = applier_interval_ > 0;
-  applier_interval_ = interval;
-  gc_keep_versions_ = gc_keep_versions;
-  // Only bump the generation when arming a fresh tick chain: re-tuning a
-  // running applier must not orphan its already-queued tick.
-  if (!was_running && interval > 0) {
-    const uint64_t generation = ++applier_generation_;
-    network_->simulator()->ScheduleAfter(
-        interval, [this, generation] { BackgroundApplyTick(generation); },
-        "txn/applier-tick");
-  }
-}
-
-void TransactionService::BackgroundApplyTick(uint64_t generation) {
-  // A tick scheduled before Stop (or before a later Start) is stale: it
-  // must neither apply nor reschedule, or "stopped" appliers would keep
-  // mutating the store during a post-run recovery quiesce.
-  if (generation != applier_generation_ || applier_interval_ <= 0) return;
-  for (auto& [group, gs] : groups_) {
-    // Apply as far as contiguous entries allow; gaps (and undecided
-    // cross-group prepares, which hold the watermark) are left for the
-    // read-path learner (the background process never runs Paxos).
-    LogPos missing = 0;
-    const Status s = gs->log.ApplyThrough(gs->log.MaxDecided(), &missing);
-    (void)s;  // FailedPrecondition on a gap is expected and fine
-    ++background_applies_;
-    if (gc_keep_versions_ >= 0) {
-      const LogPos applied = gs->log.AppliedThrough();
-      if (applied > static_cast<LogPos>(gc_keep_versions_)) {
-        store_->TruncateAllVersions(
-            static_cast<Timestamp>(applied - gc_keep_versions_));
-      }
-    }
-  }
-  network_->simulator()->ScheduleAfter(
-      applier_interval_,
-      [this, generation] { BackgroundApplyTick(generation); },
-      "txn/applier-tick");
 }
 
 uint64_t TransactionService::ApplyConflicts(const std::string& group) const {
@@ -310,22 +299,18 @@ void TransactionService::NoteEntryLanded(const std::string& group) {
 }
 
 TimeMicros TransactionService::RecoveryJitter(TxnId id) const {
-  if (recovery_options_.max_jitter <= 0) return 0;
   const uint64_t h = HashMix(seed_ ^ (id * 0x9e3779b97f4a7c15ULL) ^
                              (static_cast<uint64_t>(dc_) << 32));
   return static_cast<TimeMicros>(
-      h % static_cast<uint64_t>(recovery_options_.max_jitter));
+      h % static_cast<uint64_t>(kRecoveryMaxJitter));
 }
 
 TimeMicros TransactionService::RecoveryBackoff(int attempt) const {
-  TimeMicros backoff = recovery_options_.retry_backoff;
-  for (int i = 0; i < attempt; ++i) {
+  TimeMicros backoff = kRecoveryRetryBackoff;
+  for (int i = 0; i < attempt && backoff < kRecoveryMaxBackoff; ++i) {
     backoff *= 2;
-    if (backoff >= recovery_options_.max_backoff) {
-      return recovery_options_.max_backoff;
-    }
   }
-  return std::min(backoff, recovery_options_.max_backoff);
+  return std::min(backoff, kRecoveryMaxBackoff);
 }
 
 void TransactionService::ArmRecoveryTimer(const std::string& group, TxnId id,
@@ -350,7 +335,7 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
     recovery_timed_.erase(key);
     return;
   }
-  if (attempt >= recovery_options_.max_attempts) {
+  if (attempt >= kRecoveryMaxAttempts) {
     // Give up: bounds the timer chain under a permanent partition; the
     // prepare stays pending and pins SafeReadPos.
     recovery_timed_.erase(key);
@@ -358,8 +343,8 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
   }
   // Arbitration: the lowest *live* datacenter drives; everyone else backs
   // off and re-checks — when the arbiter goes down, the next timer firing
-  // re-arbitrates and a new replica takes over. After `escalate_after`
-  // deferrals a watcher drives regardless: the arbiter may not know this
+  // re-arbitrates and a new replica takes over. After
+  // kRecoveryEscalateAfter deferrals a watcher drives regardless: the arbiter may not know this
   // prepare at all (it can be missing the entry), and duplicate drives are
   // harmless — the recovery core is idempotent.
   bool arbiter = true;
@@ -369,7 +354,7 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
       break;
     }
   }
-  if ((arbiter || attempt >= recovery_options_.escalate_after) &&
+  if ((arbiter || attempt >= kRecoveryEscalateAfter) &&
       recovery_inflight_.count(key) == 0) {
     DriveRecovery(group, id, attempt, generation);
     return;  // DriveRecovery re-arms the chain if the pin survives
@@ -531,7 +516,6 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
 
   paxos::Ballot ballot =
       paxos::NextBallot(gs->acceptor.ReadState(pos).next_bal, dc_);
-  net::BroadcastOptions bopts;  // wait for all (or per-call timeout)
 
   for (int attempt = 0; attempt < kMaxLearnAttempts; ++attempt) {
     if (gs->log.HasEntry(pos)) co_return Status::OK();  // learned meanwhile
@@ -539,34 +523,18 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
     const std::any prepare_payload(
         ServiceRequest(PrepareRequest{group, pos, ballot}));
     net::BroadcastResult presults =
-        co_await network_->Broadcast(dc_, all, prepare_payload, bopts);
+        co_await network_->Broadcast(dc_, all, prepare_payload);
 
-    std::vector<paxos::LastVote> votes;
-    std::optional<wal::LogEntry> decided;
     paxos::Ballot max_seen = ballot;
-    int promised = 0;
-    for (net::TargetResult& tr : presults) {
-      if (!tr.status.ok()) continue;
-      const auto& resp = std::any_cast<const ServiceResponse&>(tr.response);
-      const paxos::PrepareResult& pr =
-          std::get<PrepareResponse>(resp).result;
-      if (pr.decided.has_value() && !decided.has_value()) {
-        decided = pr.decided;
-      }
-      max_seen = std::max(max_seen, pr.next_bal);
-      if (pr.promised) {
-        ++promised;
-        votes.push_back(
-            paxos::LastVote{tr.dc, pr.vote_ballot, pr.vote_value});
-      }
-    }
-    if (decided.has_value()) {
-      Status applied = gs->acceptor.OnApply(pos, ballot, *decided);
+    const PrepareTally tally = TallyPrepares(&presults, &max_seen);
+    if (tally.decided.has_value()) {
+      Status applied = gs->acceptor.OnApply(pos, ballot, *tally.decided);
       NoteApply(group, pos, applied);
       co_return applied;
     }
-    if (promised >= majority) {
-      std::optional<wal::LogEntry> winning = paxos::FindWinningValue(votes);
+    if (tally.promised >= majority) {
+      std::optional<wal::LogEntry> winning =
+          paxos::FindWinningValue(tally.votes);
       if (!winning.has_value()) {
         // A quorum reports bottom: the position is genuinely undecided. The
         // learner must not invent a value; the caller's read fails until
@@ -576,23 +544,12 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
       }
       const std::any accept_payload(
           ServiceRequest(AcceptRequest{group, pos, ballot, *winning}));
-      net::BroadcastResult aresults =
-          co_await network_->Broadcast(dc_, all, accept_payload, bopts);
-      int accepted = 0;
-      for (net::TargetResult& tr : aresults) {
-        if (!tr.status.ok()) continue;
-        const auto& resp = std::any_cast<const ServiceResponse&>(tr.response);
-        const paxos::AcceptResult& ar = std::get<AcceptResponse>(resp).result;
-        if (ar.accepted) {
-          ++accepted;
-        } else {
-          max_seen = std::max(max_seen, ar.next_bal);
-        }
-      }
-      if (accepted >= majority) {
-        // Decided: propagate the outcome (fire-and-forget) and record it.
-        ServiceRequest apply = ApplyRequest{group, pos, ballot, *winning};
-        network_->Broadcast(dc_, all, std::any(apply), bopts);
+      const net::BroadcastResult aresults =
+          co_await network_->Broadcast(dc_, all, accept_payload);
+      if (TallyAccepts(aresults, &max_seen) >= majority) {
+        // Decided: propagate the outcome and record it.
+        BroadcastApply(network_, dc_, all,
+                       ApplyRequest{group, pos, ballot, *winning});
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
         NoteApply(group, pos, applied);
         co_return applied;

@@ -37,54 +37,24 @@ class TransactionClient;
 /// design note D10). All timers are deterministic: the per-transaction
 /// jitter is hash-derived from (service seed, txn id), never drawn from an
 /// RNG stream, so a seeded run with the daemon on replays bit-identically.
+/// Jitter, retry backoff, the attempt cap and escalation are fixed
+/// (service.cc).
 struct RecoveryDaemonOptions {
   /// Delay between a pending prepare appearing in the WAL side table and
   /// the first recovery consideration — a live coordinator gets this long
   /// to decide on its own before any replica interferes.
   TimeMicros base_delay = 1 * kSecond;
-  /// Upper bound on the deterministic per-(replica, txn) jitter added to
-  /// base_delay, desynchronizing the replicas' timers.
-  TimeMicros max_jitter = 500 * kMillisecond;
-  /// Backoff before re-considering a transaction whose recovery attempt
-  /// failed or was deferred to the arbiter; doubles per attempt, capped.
-  TimeMicros retry_backoff = 1 * kSecond;
-  TimeMicros max_backoff = 8 * kSecond;
-  /// Attempt cap per pending transaction: bounds the timer chain so an
-  /// unresolvable transaction (e.g. under a permanent partition) cannot
-  /// keep the simulator's event queue alive forever.
-  int max_attempts = 16;
-  /// Attempt index from which a non-arbiter replica drives recovery itself
-  /// instead of deferring: the arbiter may never have seen this prepare
-  /// (its replica can be missing the entry), so pure deference could stall
-  /// forever. Escalated duplicate drives are safe — recovery is idempotent;
-  /// arbitration only avoids the common-case recovery storm.
-  int escalate_after = 4;
   /// Options of the daemon's internal recovery client (protocol is forced
   /// to Paxos-CP, crash faults are stripped).
   ClientOptions client;
 };
 
-/// Simulated processing cost of each request type, calibrated in
-/// EXPERIMENTS.md against the paper's testbed (HBase on EBS-backed EC2
-/// c1.medium nodes in 2012; storage operations dominated intra-datacenter
-/// network hops). The calibration targets the paper's observed contention
-/// regime: ~42% of basic-Paxos transactions abort with 4 staggered clients
-/// at 1 txn/s each, which requires a transaction to span more than one
-/// inter-arrival gap.
-struct ServiceTimeModel {
-  TimeMicros begin = 10 * kMillisecond;    // read log metadata
-  TimeMicros read = 60 * kMillisecond;     // snapshot read incl. apply
-  TimeMicros prepare = 15 * kMillisecond;  // acceptor-state read + CAS
-  TimeMicros accept = 15 * kMillisecond;
-  TimeMicros apply = 20 * kMillisecond;    // log write
-  TimeMicros claim = 5 * kMillisecond;
-};
-
 class TransactionService {
  public:
+  /// Request processing costs are the calibrated constants in service.cc
+  /// (EXPERIMENTS.md, "Service-time calibration").
   TransactionService(DcId dc, net::Network* network,
-                     kvstore::MultiVersionStore* store,
-                     const ServiceTimeModel& model, uint64_t seed);
+                     kvstore::MultiVersionStore* store, uint64_t seed);
   ~TransactionService();
 
   DcId dc() const { return dc_; }
@@ -115,23 +85,6 @@ class TransactionService {
   /// Statistics.
   uint64_t learn_instances() const { return learn_instances_; }
   uint64_t reads_served() const { return reads_served_; }
-  uint64_t background_applies() const { return background_applies_; }
-
-  /// Starts the paper's background application process (§3.2: committed
-  /// writes "may be performed later by a background process"): every
-  /// `interval`, applies decided log entries of every known group to the
-  /// data rows and, when `gc_keep_versions` >= 0, garbage-collects row
-  /// versions older than (applied watermark - gc_keep_versions).
-  void StartBackgroundApplier(TimeMicros interval,
-                              int64_t gc_keep_versions = -1);
-  /// Stops the periodic applier immediately: the generation bump turns any
-  /// tick already scheduled on the simulator into a no-op, so no apply or
-  /// GC runs after Stop returns (needed before a post-run recovery quiesce
-  /// can assume the store is no longer mutating underneath it).
-  void StopBackgroundApplier() {
-    applier_interval_ = 0;
-    ++applier_generation_;
-  }
 
   // -- Service-side 2PC recovery daemon (D10) -------------------------------
 
@@ -140,9 +93,9 @@ class TransactionService {
   /// arbiter per group (the lowest live datacenter) drives the shared
   /// recovery core (txn/recovery.h) while the other replicas watch with
   /// backoff — re-arbitrating when the arbiter goes down, and escalating to
-  /// drive themselves after `escalate_after` deferrals. Also adopts pending
-  /// prepares already in the side tables (daemon transfer across a service
-  /// restart).
+  /// drive themselves after kRecoveryEscalateAfter deferrals. Also adopts
+  /// pending prepares already in the side tables (daemon transfer across a
+  /// service restart).
   void StartRecoveryDaemon(const RecoveryDaemonOptions& options);
   /// Stops the daemon: the generation bump turns every queued timer and the
   /// completion of any in-flight drive into a no-op.
@@ -214,9 +167,10 @@ class TransactionService {
   /// pending prepares, closing pins whose decide entry just landed) and,
   /// when the daemon runs, arms the recovery timer of each new pending.
   void NoteEntryLanded(const std::string& group);
-  /// Deterministic per-(replica, txn) jitter in [0, max_jitter).
+  /// Deterministic per-(replica, txn) jitter in [0, kRecoveryMaxJitter).
   TimeMicros RecoveryJitter(TxnId id) const;
-  /// Doubling backoff for attempt index `attempt`, capped at max_backoff.
+  /// Doubling backoff for attempt index `attempt`, capped at
+  /// kRecoveryMaxBackoff.
   TimeMicros RecoveryBackoff(int attempt) const;
   void ArmRecoveryTimer(const std::string& group, TxnId id, int attempt,
                         TimeMicros delay);
@@ -234,23 +188,14 @@ class TransactionService {
   DcId dc_;
   net::Network* network_;
   kvstore::MultiVersionStore* store_;
-  ServiceTimeModel model_;
   Rng rng_;
   /// Construction seed, kept for hash-derived recovery jitter (which must
   /// not consume the rng_ stream: arming a timer may not perturb replay).
   uint64_t seed_;
   std::map<std::string, std::unique_ptr<GroupState>> groups_;
 
-  void BackgroundApplyTick(uint64_t generation);
-
   uint64_t learn_instances_ = 0;
   uint64_t reads_served_ = 0;
-  uint64_t background_applies_ = 0;
-  TimeMicros applier_interval_ = 0;
-  /// Bumped by Start/Stop; a tick whose generation no longer matches is
-  /// stale (scheduled before a Stop) and must do nothing.
-  uint64_t applier_generation_ = 0;
-  int64_t gc_keep_versions_ = -1;
 
   bool recovery_running_ = false;
   RecoveryDaemonOptions recovery_options_;

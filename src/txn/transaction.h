@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "net/network.h"
 #include "paxos/value_selection.h"
 #include "wal/log_entry.h"
 
@@ -66,25 +65,17 @@ struct CommitResult {
 };
 
 /// Knobs of the client commit protocol. Defaults reproduce the paper's
-/// configuration; ablation benches override individual fields.
+/// configuration; ablation benches override individual fields. Message
+/// timeouts are net::kMessageTimeout and retry backoff is fixed (client.cc).
 struct ClientOptions {
   Protocol protocol = Protocol::kPaxosCP;
   /// Maximum number of promotions before giving up (-1 = unlimited, as in
   /// the paper's evaluation).
   int promotion_cap = -1;
-  /// Per-message timeout (paper: two seconds).
-  TimeMicros rpc_timeout = 2 * kSecond;
-  /// Randomized retry backoff bounds (Algorithm 2: "sleep for random time
-  /// period").
-  TimeMicros backoff_min = 5 * kMillisecond;
-  TimeMicros backoff_max = 50 * kMillisecond;
   /// Leader-per-log-position fast path (paper §4.1). On by default, as in
   /// the paper's prototype.
   bool leader_optimization = true;
   paxos::CombinePolicy combine;
-  /// How long to wait for prepare/accept responses.
-  net::WaitPolicy wait_policy = net::WaitPolicy::kAll;
-  TimeMicros quorum_grace = 0;  // for WaitPolicy::kQuorumEarly
   /// Safety valve: give up with Unavailable after this many prepare rounds
   /// for a single log position.
   int max_rounds_per_position = 32;

@@ -219,8 +219,7 @@ sim::Coro<TxnResult> Session::RunTransaction(std::string group, TxnBody body,
     // (a retry could commit twice), kUnavailable cannot make progress.
     if (result.outcome != TxnOutcome::kConflict) co_return result;
     if (result.attempts >= retry.max_attempts) co_return result;
-    const TimeMicros backoff =
-        client_->RandomBackoffIn(retry.backoff_min, retry.backoff_max);
+    const TimeMicros backoff = client_->RetryBackoff();
     if (deadline_at != 0 && sim->Now() + backoff >= deadline_at) {
       co_return result;
     }

@@ -173,11 +173,9 @@ struct RetryPolicy {
   /// Total begin..commit attempts before giving up with kConflict.
   int max_attempts = 8;
   /// Virtual-time budget measured from the first attempt (0 = none): no
-  /// new attempt starts once the deadline has passed.
+  /// new attempt starts once the deadline has passed. Conflicting attempts
+  /// are separated by a randomized 20-200 ms backoff.
   TimeMicros deadline = 0;
-  /// Randomized backoff between conflicting attempts.
-  TimeMicros backoff_min = 20 * kMillisecond;
-  TimeMicros backoff_max = 200 * kMillisecond;
 };
 
 /// Unified result of Session::RunTransaction.

@@ -6,12 +6,15 @@
 
 namespace paxoscp::workload {
 
+namespace {
+
+/// Length of generated attribute values.
+constexpr int kValueSize = 16;
+
+}  // namespace
+
 Generator::Generator(const WorkloadConfig& config, uint64_t seed)
-    : config_(config),
-      rng_(seed),
-      zipf_(static_cast<uint64_t>(
-                config.num_attributes > 0 ? config.num_attributes : 1),
-            config.zipf_theta) {}
+    : config_(config), rng_(seed) {}
 
 std::string Generator::AttributeName(int i) {
   // += instead of `"a" + std::to_string(i)`: GCC 12 -O2 flags the
@@ -33,15 +36,14 @@ std::string Generator::RandomValue() {
   static constexpr char kAlphabet[] =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
   std::string out;
-  out.reserve(config_.value_size);
-  for (int i = 0; i < config_.value_size; ++i) {
+  out.reserve(kValueSize);
+  for (int i = 0; i < kValueSize; ++i) {
     out.push_back(kAlphabet[rng_.Uniform(sizeof(kAlphabet) - 1)]);
   }
   return out;
 }
 
 int Generator::NextAttributeIndex() {
-  if (config_.zipfian) return static_cast<int>(zipf_.Next(&rng_));
   return static_cast<int>(rng_.Uniform(config_.num_attributes));
 }
 

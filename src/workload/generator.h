@@ -23,13 +23,8 @@ struct WorkloadConfig {
   int num_attributes = 100;
   int ops_per_txn = 10;
   /// Probability an operation is a read (paper: 50% reads, 50% writes).
+  /// Attributes are chosen uniformly, as in the paper.
   double read_fraction = 0.5;
-  /// Uniform attribute choice by default (as in the paper); optionally
-  /// Zipfian-skewed for the contention-skew extension benches.
-  bool zipfian = false;
-  double zipf_theta = 0.99;
-  /// Length of generated attribute values.
-  int value_size = 16;
 
   /// Sharded keyspace (D8): number of entity groups, each its own row and
   /// Paxos-CP log, named Generator::GroupName(config, i). 1 keeps the
@@ -89,7 +84,6 @@ class Generator {
 
   WorkloadConfig config_;
   Rng rng_;
-  ZipfianGenerator zipf_;
 };
 
 }  // namespace paxoscp::workload

@@ -327,7 +327,7 @@ sim::Task RunThread(RunContext* ctx, int thread_index, int txns,
   const RunnerConfig& config = ctx->config;
 
   const DcId home = config.thread_dcs.empty()
-                        ? config.client_dc
+                        ? 0
                         : config.thread_dcs[thread_index %
                                             config.thread_dcs.size()];
   txn::Session session = ctx->cluster->CreateSession(home, config.client);
@@ -427,36 +427,34 @@ RunStats RunExperiment(core::Cluster* cluster, const RunnerConfig& config) {
   }
   if (config.recovery_timer > 0) StopRecoveryDaemons(cluster);
 
-  if (config.check_invariants) {
-    RecoverDecidedTail(ctx.get());
-    cluster->RunToCompletion();
-    if (ctx->group_names.size() > 1) {
-      if (config.recovery_timer <= 0) {
-        // Cross-group quiesce (D8): no daemon ran during the workload, so
-        // crashed coordinators may have left prepares pending. Run the
-        // daemon until it has resolved every one, then learn the new
-        // decide entries everywhere so the checker sees the history a
-        // recovered system would serve. A run that had the daemon is
-        // checked as the daemon left it: that is the self-healing claim
-        // the chaos harness's daemon slice asserts.
-        StartRecoveryDaemons(cluster, config);
-        cluster->RunToCompletion();
-        StopRecoveryDaemons(cluster);
-        RecoverDecidedTail(ctx.get());
-        cluster->RunToCompletion();
-      }
-      core::Checker checker(cluster);
-      stats.check = checker.CheckAllCross(ctx->group_names, stats.outcomes);
-    } else {
-      core::Checker checker(cluster);
-      stats.check = checker.CheckAll(config.workload.group, stats.outcomes);
+  RecoverDecidedTail(ctx.get());
+  cluster->RunToCompletion();
+  if (ctx->group_names.size() > 1) {
+    if (config.recovery_timer <= 0) {
+      // Cross-group quiesce (D8): no daemon ran during the workload, so
+      // crashed coordinators may have left prepares pending. Run the
+      // daemon until it has resolved every one, then learn the new
+      // decide entries everywhere so the checker sees the history a
+      // recovered system would serve. A run that had the daemon is
+      // checked as the daemon left it: that is the self-healing claim
+      // the chaos harness's daemon slice asserts.
+      StartRecoveryDaemons(cluster, config);
+      cluster->RunToCompletion();
+      StopRecoveryDaemons(cluster);
+      RecoverDecidedTail(ctx.get());
+      cluster->RunToCompletion();
     }
-    stats.combined_entries = stats.check.combined_entries;
-    stats.combined_txns = stats.check.combined_txns;
-    if (!stats.check.ok) {
-      PAXOSCP_LOG(kError) << "invariant violations:\n"
-                          << stats.check.ToString();
-    }
+    core::Checker checker(cluster);
+    stats.check = checker.CheckAllCross(ctx->group_names, stats.outcomes);
+  } else {
+    core::Checker checker(cluster);
+    stats.check = checker.CheckAll(config.workload.group, stats.outcomes);
+  }
+  stats.combined_entries = stats.check.combined_entries;
+  stats.combined_txns = stats.check.combined_txns;
+  if (!stats.check.ok) {
+    PAXOSCP_LOG(kError) << "invariant violations:\n"
+                        << stats.check.ToString();
   }
   return std::move(stats);
 }

@@ -29,15 +29,10 @@ struct RunnerConfig {
   /// are open-loop: a late transaction starts immediately but the schedule
   /// does not drift.
   double target_rate_tps = 1.0;
-  /// Home datacenter for all threads...
-  DcId client_dc = 0;
-  /// ...unless per-thread homes are given (Figure 8 runs one YCSB instance
-  /// per datacenter).
+  /// Per-thread home datacenters, round-robin (Figure 8 runs one YCSB
+  /// instance per datacenter); empty homes every thread at datacenter 0.
   std::vector<DcId> thread_dcs;
   uint64_t seed = 7;
-  /// Run the full invariant checker after the workload (on by default; the
-  /// serializability check is part of every experiment in this repo).
-  bool check_invariants = true;
   /// When > 0, bucket per-transaction outcomes into fixed windows of this
   /// width (virtual time since the run started, keyed by each transaction's
   /// start time) so availability-over-time is observable — the accounting
