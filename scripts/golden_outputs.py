@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Golden-output check for the fixed-seed bench binaries.
+"""Golden-output check for the fixed-seed bench and example binaries.
 
-Runs each given bench binary with no arguments and byte-compares its
-stdout with `<golden-dir>/<binary name>.txt`. Every bench is seeded, so
-its table is a pure function of the code: any difference is a change in
-behaviour. A change that is meant to move a figure regenerates the golden
+Runs each given binary with no arguments and byte-compares its stdout
+with `<golden-dir>/<binary name>.txt`. Every bench and example is seeded,
+so its output is a pure function of the code: any difference is a change
+in behaviour. A change that is meant to move a figure regenerates the golden
 file and explains the new numbers in CHANGES.md:
 
     ./build/bench/fig4_replicas > tests/golden/fig4_replicas.txt
 
     golden_outputs.py tests/golden ./build/bench/fig4_replicas ...
 
-The binary must also exit 0 (the benches gate their own headline shape).
+The binary must also exit 0 (the benches gate their own headline shape,
+the examples their audits).
 Every golden file must be claimed by one of the given binaries, so a
 golden cannot go stale unnoticed when a bench is renamed or dropped.
 
@@ -69,10 +70,10 @@ def main():
             continue
         print(f"ok   {name}")
     if failed:
-        print(f"{len(failed)} of {len(names)} bench outputs differ: "
+        print(f"{len(failed)} of {len(names)} outputs differ: "
               + ", ".join(failed))
         return 1
-    print(f"all {len(names)} bench outputs match their golden files")
+    print(f"all {len(names)} outputs match their golden files")
     return 0
 
 
