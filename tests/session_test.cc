@@ -3,13 +3,20 @@
 // handles are inert), batched ReadRow / WriteRow, the RunTransaction retry
 // combinator (attempt and deadline bounds under injected conflicts), and
 // the TxnOutcome taxonomy — including kUnknownOutcome surfacing from a
-// crashed-client fault plan.
+// crashed-client fault plan. The handle-lifecycle and retry-bound tests
+// run over both handle kinds: a single-group `Txn` and a cross-group
+// `CrossTxn` (txn/cross.h).
 #include <gtest/gtest.h>
+
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/db.h"
 #include "fault/fault_plan.h"
 #include "sim/coro.h"
 #include "txn/client.h"
+#include "txn/cross.h"
 #include "txn/txn.h"
 
 namespace paxoscp {
@@ -34,34 +41,149 @@ sim::Task Drive(Session* session, std::string group, txn::TxnBody body,
                                           retry);
 }
 
+// ------------------------------------------------------------ handle kinds
+
+/// A single-group transaction on group `<prefix>`.
+struct SingleGroup {
+  using Handle = Txn;
+  using Body = txn::TxnBody;
+  using RunResult = TxnResult;
+  /// Log entries one committed writing transaction adds to each group.
+  static constexpr LogPos kEntriesPerCommit = 1;
+
+  static std::vector<std::string> Groups(const std::string& prefix) {
+    return {prefix};
+  }
+  static sim::Coro<Txn> Begin(Session* s, const std::string& prefix) {
+    return s->Begin(prefix);
+  }
+  static sim::Coro<RunResult> Run(Session* s, const std::string& prefix,
+                                  Body body, RetryPolicy retry) {
+    return s->RunTransaction(prefix, std::move(body), retry);
+  }
+  static sim::Coro<Result<std::string>> Read(Txn* txn, std::string row,
+                                             std::string attribute) {
+    return txn->Read(std::move(row), std::move(attribute));
+  }
+  static Status Write(Txn* txn, const std::string& row,
+                      const std::string& attribute, std::string value) {
+    return txn->Write(row, attribute, std::move(value));
+  }
+};
+
+/// A cross-group transaction over groups `<prefix>a` and `<prefix>b`; its
+/// reads and writes go to the commit group `<prefix>a`.
+struct CrossGroup {
+  using Handle = txn::CrossTxn;
+  using Body = txn::CrossTxnBody;
+  using RunResult = txn::CrossTxnResult;
+  /// A prepare and a decide in each participant.
+  static constexpr LogPos kEntriesPerCommit = 2;
+
+  static std::vector<std::string> Groups(const std::string& prefix) {
+    return {prefix + "a", prefix + "b"};
+  }
+  static sim::Coro<txn::CrossTxn> Begin(Session* s,
+                                        const std::string& prefix) {
+    return s->BeginCross(Groups(prefix));
+  }
+  static sim::Coro<RunResult> Run(Session* s, const std::string& prefix,
+                                  Body body, RetryPolicy retry) {
+    return s->RunTransaction(Groups(prefix), std::move(body), retry);
+  }
+  static sim::Coro<Result<std::string>> Read(txn::CrossTxn* txn,
+                                             std::string row,
+                                             std::string attribute) {
+    return txn->Read(CommitGroup(*txn), std::move(row), std::move(attribute));
+  }
+  static Status Write(txn::CrossTxn* txn, const std::string& row,
+                      const std::string& attribute, std::string value) {
+    return txn->Write(CommitGroup(*txn), row, attribute, std::move(value));
+  }
+
+ private:
+  /// The commit group, or "" on an inert handle (whose operations fail
+  /// before they look at the group).
+  static std::string CommitGroup(const txn::CrossTxn& txn) {
+    return txn.groups().empty() ? "" : txn.groups().front();
+  }
+};
+
+using HandleKinds = ::testing::Types<SingleGroup, CrossGroup>;
+
+struct HandleKindName {
+  template <typename Kind>
+  static std::string GetName(int) {
+    return std::is_same_v<Kind, SingleGroup> ? "Single" : "Cross";
+  }
+};
+
+/// Loads row "r" = {n: "0"} into every group of `Kind` under `prefix`.
+template <typename Kind>
+void LoadGroups(Db* db, const std::string& prefix) {
+  for (const std::string& group : Kind::Groups(prefix)) {
+    ASSERT_TRUE(db->Load(group, "r", {{"n", "0"}}).ok());
+  }
+}
+
+/// True iff `session` holds the slot of every group of `Kind` under
+/// `prefix` (`held`) or of none of them (`!held`).
+template <typename Kind>
+bool SlotsHeld(Session* session, const std::string& prefix, bool held) {
+  for (const std::string& group : Kind::Groups(prefix)) {
+    if (session->client()->HasActiveTxn(group) != held) return false;
+  }
+  return true;
+}
+
+template <typename Kind>
+void ExpectLogLength(Db* db, const std::string& prefix, LogPos length) {
+  for (const std::string& group : Kind::Groups(prefix)) {
+    EXPECT_EQ(db->cluster()->service(0)->GroupLog(group)->MaxDecided(),
+              length)
+        << group;
+  }
+}
+
+template <typename Kind>
+sim::Task DriveKind(Session* session, std::string prefix,
+                    typename Kind::Body body, typename Kind::RunResult* out,
+                    RetryPolicy retry = {}) {
+  *out = co_await Kind::Run(session, prefix, std::move(body), retry);
+}
+
 // ------------------------------------------------------- handle semantics
 
-TEST(TxnHandleTest, AbortOnDestructionReleasesGroupSlot) {
+template <typename Kind>
+class TxnHandleTest : public ::testing::Test {};
+TYPED_TEST_SUITE(TxnHandleTest, HandleKinds, HandleKindName);
+
+TYPED_TEST(TxnHandleTest, AbortOnDestructionReleasesGroupSlot) {
+  using Kind = TypeParam;
   Db db(TestConfig());
-  ASSERT_TRUE(db.Load("g", "r", {{"n", "0"}}).ok());
+  LoadGroups<Kind>(&db, "g");
   Session session = db.Session(0);
 
   struct Probe {
     bool slot_taken_inside = false;
     bool slot_free_after = false;
     Status rebegin = Status::Internal("unset");
-    LogPos decided = 99;
   } probe;
 
   struct {
     sim::Task operator()(Session* s, Probe* out) {
       {
-        Txn txn = co_await s->Begin("g");
+        typename Kind::Handle txn = co_await Kind::Begin(s, "g");
         EXPECT_TRUE(txn.active());
-        out->slot_taken_inside = s->client()->HasActiveTxn("g");
-        (void)txn.Write("r", "n", "discarded");
+        out->slot_taken_inside = SlotsHeld<Kind>(s, "g", true);
+        (void)Kind::Write(&txn, "r", "n", "discarded");
         // Handle dropped here without Commit: implicit abort.
       }
-      out->slot_free_after = !s->client()->HasActiveTxn("g");
-      // The slot is free again: a new transaction can begin...
-      Txn again = co_await s->Begin("g");
+      out->slot_free_after = SlotsHeld<Kind>(s, "g", false);
+      // The slot is free again: a new transaction can begin (and is
+      // dropped in turn).
+      typename Kind::Handle again = co_await Kind::Begin(s, "g");
       out->rebegin = again.begin_status();
-      (void)co_await again.Commit();  // read-only
     }
   } run;
   run(&session, &probe);
@@ -70,13 +192,15 @@ TEST(TxnHandleTest, AbortOnDestructionReleasesGroupSlot) {
   EXPECT_TRUE(probe.slot_taken_inside);
   EXPECT_TRUE(probe.slot_free_after);
   EXPECT_TRUE(probe.rebegin.ok()) << probe.rebegin.ToString();
+  EXPECT_TRUE(SlotsHeld<Kind>(&session, "g", false));
   // ...and the aborted write never reached any log.
-  EXPECT_EQ(db.cluster()->service(0)->GroupLog("g")->MaxDecided(), 0u);
+  ExpectLogLength<Kind>(&db, "g", 0);
 }
 
-TEST(TxnHandleTest, MovedFromHandleIsInert) {
+TYPED_TEST(TxnHandleTest, MovedFromHandleIsInert) {
+  using Kind = TypeParam;
   Db db(TestConfig());
-  ASSERT_TRUE(db.Load("g", "r", {{"n", "0"}}).ok());
+  LoadGroups<Kind>(&db, "g");
   Session session = db.Session(0);
 
   struct Probe {
@@ -84,26 +208,33 @@ TEST(TxnHandleTest, MovedFromHandleIsInert) {
     bool moved_from_active = true;
     Status inert_write = Status::OK();
     Status inert_read;
-    txn::CommitResult inert_commit;
-    txn::CommitResult real_commit;
+    bool inert_committed = true;
+    Status inert_commit;
+    bool slots_kept = false;
+    bool real_committed = false;
+    Status real_commit;
   } probe;
 
   struct {
     sim::Task operator()(Session* s, Probe* out) {
-      Txn a = co_await s->Begin("g");
-      Txn b = std::move(a);
+      typename Kind::Handle a = co_await Kind::Begin(s, "g");
+      typename Kind::Handle b = std::move(a);
       out->moved_to_active = b.active();
       out->moved_from_active = a.active();
       // Every operation on the moved-from handle fails gracefully.
-      out->inert_write = a.Write("r", "n", "x");
-      Result<std::string> read = co_await a.Read("r", "n");
+      out->inert_write = Kind::Write(&a, "r", "n", "x");
+      Result<std::string> read = co_await Kind::Read(&a, "r", "n");
       out->inert_read = read.status();
-      out->inert_commit = co_await a.Commit();
-      a.Abort();  // no-op, must not release b's slot
-      EXPECT_TRUE(s->client()->HasActiveTxn("g"));
+      auto inert_commit = co_await a.Commit();
+      out->inert_committed = inert_commit.committed;
+      out->inert_commit = inert_commit.status;
+      a.Abort();  // no-op, must not release b's slots
+      out->slots_kept = SlotsHeld<Kind>(s, "g", true);
       // The moved-to handle still works end to end.
-      (void)b.Write("r", "n", "1");
-      out->real_commit = co_await b.Commit();
+      (void)Kind::Write(&b, "r", "n", "1");
+      auto real_commit = co_await b.Commit();
+      out->real_committed = real_commit.committed;
+      out->real_commit = real_commit.status;
     }
   } run;
   run(&session, &probe);
@@ -113,26 +244,28 @@ TEST(TxnHandleTest, MovedFromHandleIsInert) {
   EXPECT_FALSE(probe.moved_from_active);
   EXPECT_EQ(probe.inert_write.code(), Status::Code::kFailedPrecondition);
   EXPECT_EQ(probe.inert_read.code(), Status::Code::kFailedPrecondition);
-  EXPECT_FALSE(probe.inert_commit.committed);
-  EXPECT_TRUE(probe.real_commit.committed)
-      << probe.real_commit.status.ToString();
+  EXPECT_FALSE(probe.inert_committed);
+  EXPECT_EQ(probe.inert_commit.code(), Status::Code::kFailedPrecondition);
+  EXPECT_TRUE(probe.slots_kept);
+  EXPECT_TRUE(probe.real_committed) << probe.real_commit.ToString();
 }
 
-TEST(TxnHandleTest, MoveAssignmentAbortsTheOverwrittenTxn) {
+TYPED_TEST(TxnHandleTest, MoveAssignmentAbortsTheOverwrittenTxn) {
+  using Kind = TypeParam;
   Db db(TestConfig());
-  ASSERT_TRUE(db.Load("g1", "r", {{"n", "0"}}).ok());
-  ASSERT_TRUE(db.Load("g2", "r", {{"n", "0"}}).ok());
+  LoadGroups<Kind>(&db, "g1");
+  LoadGroups<Kind>(&db, "g2");
   Session session = db.Session(0);
 
   struct {
     sim::Task operator()(Session* s, bool* g1_released) {
-      Txn t1 = co_await s->Begin("g1");
-      (void)t1.Write("r", "n", "dropped");
-      Txn t2 = co_await s->Begin("g2");
+      typename Kind::Handle t1 = co_await Kind::Begin(s, "g1");
+      (void)Kind::Write(&t1, "r", "n", "dropped");
+      typename Kind::Handle t2 = co_await Kind::Begin(s, "g2");
       t1 = std::move(t2);  // aborts the g1 transaction, adopts g2's
-      *g1_released = !s->client()->HasActiveTxn("g1") &&
-                     s->client()->HasActiveTxn("g2");
-      (void)t1.Write("r", "n", "kept");
+      *g1_released = SlotsHeld<Kind>(s, "g1", false) &&
+                     SlotsHeld<Kind>(s, "g2", true);
+      (void)Kind::Write(&t1, "r", "n", "kept");
       (void)co_await t1.Commit();
     }
   } run;
@@ -141,8 +274,8 @@ TEST(TxnHandleTest, MoveAssignmentAbortsTheOverwrittenTxn) {
   db.Run();
 
   EXPECT_TRUE(g1_released);
-  EXPECT_EQ(db.cluster()->service(0)->GroupLog("g1")->MaxDecided(), 0u);
-  EXPECT_EQ(db.cluster()->service(0)->GroupLog("g2")->MaxDecided(), 1u);
+  ExpectLogLength<Kind>(&db, "g1", 0);
+  ExpectLogLength<Kind>(&db, "g2", Kind::kEntriesPerCommit);
 }
 
 // -------------------------------------------------- batched row accessors
@@ -369,56 +502,66 @@ TEST(RunTransactionTest, RetriesConcurrencyAborts) {
   EXPECT_EQ(final_value, "2");
 }
 
-TEST(RunTransactionTest, BodyErrorAbortsWithoutRetry) {
+template <typename Kind>
+class RunTransactionTest : public ::testing::Test {};
+TYPED_TEST_SUITE(RunTransactionTest, HandleKinds, HandleKindName);
+
+TYPED_TEST(RunTransactionTest, BodyErrorAbortsWithoutRetry) {
+  using Kind = TypeParam;
   Db db(TestConfig());
-  ASSERT_TRUE(db.Load("g", "r", {{"n", "0"}}).ok());
+  LoadGroups<Kind>(&db, "g");
   Session session = db.Session(0);
-  TxnResult result;
-  Drive(&session, "g",
-        [](Txn*) -> sim::Coro<Status> {
-          co_return Status::InvalidArgument("application rejected");
-        },
-        &result);
+  typename Kind::RunResult result;
+  DriveKind<Kind>(&session, "g",
+                  [](typename Kind::Handle*) -> sim::Coro<Status> {
+                    co_return Status::InvalidArgument("application rejected");
+                  },
+                  &result);
   db.Run();
   EXPECT_EQ(result.outcome, TxnOutcome::kUnavailable);
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.attempts, 1);
-  EXPECT_EQ(db.cluster()->service(0)->GroupLog("g")->MaxDecided(), 0u);
+  ExpectLogLength<Kind>(&db, "g", 0);
   // The failed attempt released the slot (no leak).
-  EXPECT_FALSE(session.client()->HasActiveTxn("g"));
+  EXPECT_TRUE(SlotsHeld<Kind>(&session, "g", false));
 }
 
 // ----------------------------------------- retry bounds under conflicts
 
 /// A body that conflicts deterministically on every attempt: it snapshot-
 /// reads "n", then — before its own commit — commits a write of "n"
-/// through `saboteur`, so the victim's commit position is always taken by
-/// a transaction whose write set intersects the victim's read set.
-txn::TxnBody AlwaysConflictingBody(Session* saboteur, int* sabotages) {
-  return [saboteur, sabotages](Txn* txn) -> sim::Coro<Status> {
-    Result<std::string> n = co_await txn->Read("r", "n");
+/// through `saboteur` (a single-group transaction on the group the body
+/// reads), so the victim's commit position is always taken by a
+/// transaction whose write set intersects the victim's read set.
+template <typename Kind>
+typename Kind::Body AlwaysConflictingBody(Session* saboteur, int* sabotages) {
+  return [saboteur, sabotages](typename Kind::Handle* txn)
+             -> sim::Coro<Status> {
+    Result<std::string> n = co_await Kind::Read(txn, "r", "n");
     if (!n.ok()) co_return n.status();
-    Txn rival = co_await saboteur->Begin("g");
+    Txn rival = co_await saboteur->Begin(Kind::Groups("g").front());
     if (!rival.active()) co_return rival.begin_status();
     (void)rival.Write("r", "n", std::to_string(++*sabotages));
     txn::CommitResult commit = co_await rival.Commit();
     if (!commit.committed) co_return Status::Internal("sabotage failed");
-    co_return txn->Write("r", "n", "victim");
+    co_return Kind::Write(txn, "r", "n", "victim");
   };
 }
 
-TEST(RunTransactionTest, RespectsMaxAttemptsUnderInjectedConflicts) {
+TYPED_TEST(RunTransactionTest, RespectsMaxAttemptsUnderInjectedConflicts) {
+  using Kind = TypeParam;
   Db db(TestConfig(31));
-  ASSERT_TRUE(db.Load("g", "r", {{"n", "0"}}).ok());
+  LoadGroups<Kind>(&db, "g");
   Session victim = db.Session(0);
   Session saboteur = db.Session(1);
 
   int sabotages = 0;
   RetryPolicy retry;
   retry.max_attempts = 3;
-  TxnResult result;
-  Drive(&victim, "g", AlwaysConflictingBody(&saboteur, &sabotages), &result,
-        retry);
+  typename Kind::RunResult result;
+  DriveKind<Kind>(&victim, "g",
+                  AlwaysConflictingBody<Kind>(&saboteur, &sabotages), &result,
+                  retry);
   db.Run();
 
   EXPECT_EQ(result.outcome, TxnOutcome::kConflict)
@@ -426,12 +569,13 @@ TEST(RunTransactionTest, RespectsMaxAttemptsUnderInjectedConflicts) {
   EXPECT_EQ(result.attempts, 3);
   EXPECT_EQ(sabotages, 3);  // every attempt ran the body afresh
   EXPECT_TRUE(result.status.IsAborted());
-  EXPECT_TRUE(db.Check("g").ok);
+  EXPECT_TRUE(db.Check(Kind::Groups("g")).ok);
 }
 
-TEST(RunTransactionTest, RespectsDeadlineUnderInjectedConflicts) {
+TYPED_TEST(RunTransactionTest, RespectsDeadlineUnderInjectedConflicts) {
+  using Kind = TypeParam;
   Db db(TestConfig(33));
-  ASSERT_TRUE(db.Load("g", "r", {{"n", "0"}}).ok());
+  LoadGroups<Kind>(&db, "g");
   Session victim = db.Session(0);
   Session saboteur = db.Session(1);
 
@@ -440,9 +584,10 @@ TEST(RunTransactionTest, RespectsDeadlineUnderInjectedConflicts) {
   retry.max_attempts = 1000;  // the deadline must bind first
   retry.deadline = 2 * kSecond;
   const TimeMicros start = db.simulator()->Now();
-  TxnResult result;
-  Drive(&victim, "g", AlwaysConflictingBody(&saboteur, &sabotages), &result,
-        retry);
+  typename Kind::RunResult result;
+  DriveKind<Kind>(&victim, "g",
+                  AlwaysConflictingBody<Kind>(&saboteur, &sabotages), &result,
+                  retry);
   db.Run();
   const TimeMicros elapsed = db.simulator()->Now() - start;
 
@@ -506,21 +651,22 @@ TEST(RunTransactionTest, UnknownOutcomeFromCrashedClientFaultPlan) {
   EXPECT_EQ(body_runs, 1);
 }
 
-TEST(RunTransactionTest, BeginFailureIsUnavailableNotUnknown) {
+TYPED_TEST(RunTransactionTest, BeginFailureIsUnavailableNotUnknown) {
   // With every datacenter down, begin itself fails: nothing was proposed,
   // so the fate is known (not committed) — kUnavailable, no retry.
+  using Kind = TypeParam;
   Db db(TestConfig(37));
-  ASSERT_TRUE(db.Load("g", "r", {{"n", "0"}}).ok());
+  LoadGroups<Kind>(&db, "g");
   for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
     db.cluster()->SetDatacenterDown(dc, true);
   }
   Session session = db.Session(0);
-  TxnResult result;
-  Drive(&session, "g",
-        [](Txn* txn) -> sim::Coro<Status> {
-          co_return txn->Write("r", "n", "1");
-        },
-        &result);
+  typename Kind::RunResult result;
+  DriveKind<Kind>(&session, "g",
+                  [](typename Kind::Handle* txn) -> sim::Coro<Status> {
+                    co_return Kind::Write(txn, "r", "n", "1");
+                  },
+                  &result);
   db.Run();
   EXPECT_EQ(result.outcome, TxnOutcome::kUnavailable);
   // Begin fails over through every datacenter; the terminal status is the
@@ -528,6 +674,7 @@ TEST(RunTransactionTest, BeginFailureIsUnavailableNotUnknown) {
   EXPECT_TRUE(result.status.IsUnavailable() || result.status.IsTimedOut())
       << result.status.ToString();
   EXPECT_EQ(result.attempts, 1);
+  EXPECT_TRUE(SlotsHeld<Kind>(&session, "g", false));
 }
 
 }  // namespace
