@@ -1,7 +1,6 @@
 #include "common/random.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace paxoscp {
 
@@ -60,15 +59,5 @@ bool Rng::Bernoulli(double p) {
   if (p >= 1) return true;
   return NextDouble() < p;
 }
-
-double Rng::Exponential(double mean) {
-  assert(mean > 0);
-  double u = NextDouble();
-  // Guard log(0).
-  if (u <= 0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
-Rng Rng::Fork() { return Rng(Next() ^ 0x5851f42d4c957f2dULL); }
 
 }  // namespace paxoscp

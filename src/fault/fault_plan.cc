@@ -111,10 +111,10 @@ bool RandomPlanGenerator::Admissible(const std::vector<Episode>& taken,
       }
     }
     // Concurrency cap: pairwise fault-window overlap of datacenter outages
-    // (conservative for caps > 1, exact for the default cap of 1).
+    // (exact for a cap of 1; it would be conservative for larger caps).
     if (e.is_dc_outage && t.is_dc_outage && e.start <= t.end &&
         t.start <= e.end) {
-      if (++concurrent_outages > envelope_.max_concurrent_dc_outages) {
+      if (++concurrent_outages > kMaxConcurrentDcOutages) {
         return false;
       }
     }
@@ -236,9 +236,8 @@ FaultPlan RandomPlanGenerator::Generate() {
         }
         case Shape::kDuplicateBurst: {
           const double p =
-              envelope_.min_duplicate_burst +
-              rng_.NextDouble() * (envelope_.max_duplicate_burst -
-                                   envelope_.min_duplicate_burst);
+              kMinDuplicateBurst +
+              rng_.NextDouble() * (kMaxDuplicateBurst - kMinDuplicateBurst);
           e.resources = {"dup"};
           events.push_back(
               {start, FaultKind::kDuplicateBurst, kNoDc, kNoDc, p});
@@ -248,11 +247,10 @@ FaultPlan RandomPlanGenerator::Generate() {
         }
         case Shape::kReorderBurst: {
           const double p =
-              envelope_.min_reorder_burst +
-              rng_.NextDouble() *
-                  (envelope_.max_reorder_burst - envelope_.min_reorder_burst);
-          const TimeMicros extra = static_cast<TimeMicros>(rng_.UniformRange(
-              1, std::max<TimeMicros>(envelope_.max_reorder_extra, 1)));
+              kMinReorderBurst +
+              rng_.NextDouble() * (kMaxReorderBurst - kMinReorderBurst);
+          const TimeMicros extra =
+              static_cast<TimeMicros>(rng_.UniformRange(1, kMaxReorderExtra));
           e.resources = {"reorder"};
           events.push_back(
               {start, FaultKind::kReorderBurst, kNoDc, kNoDc, p, extra});

@@ -69,10 +69,24 @@ struct FaultPlan {
   std::string ToString() const;
 };
 
+/// Fixed bounds of the random fault space, the generator's contract
+/// (fault_test checks every drawn plan against them).
+/// Cap on simultaneously-down datacenters (link cuts and bisections are
+/// not counted; see PlanEnvelope).
+constexpr int kMaxConcurrentDcOutages = 1;
+/// Duplicate-delivery burst probability bounds (kDuplicateBurst).
+constexpr double kMinDuplicateBurst = 0.05;
+constexpr double kMaxDuplicateBurst = 0.5;
+/// Reorder burst probability bounds (kReorderBurst) and the cap on the
+/// extra held-back delay a reordered message may suffer.
+constexpr double kMinReorderBurst = 0.05;
+constexpr double kMaxReorderBurst = 0.5;
+constexpr TimeMicros kMaxReorderExtra = 750 * kMillisecond;
+
 /// Bounds of the random fault space. The defaults describe a moderately
 /// hostile but always-healing environment: every outage/partition/burst
 /// episode ends within the horizon, episodes on the same resource are
-/// separated by a heal gap, and at most `max_concurrent_dc_outages`
+/// separated by a heal gap, and at most kMaxConcurrentDcOutages
 /// datacenters are ever down simultaneously. Note that the cap bounds
 /// *datacenter outages only* — a bisection (or a link cut overlapping an
 /// outage) can still cost a side its majority, so default plans may
@@ -95,20 +109,9 @@ struct PlanEnvelope {
   /// (the "min heal gap": a datacenter that recovered must stay up at least
   /// this long before it may fail again).
   TimeMicros min_heal_gap = 1 * kSecond;
-  /// Cap on simultaneously-down datacenters (link cuts and bisections are
-  /// not counted; see the note above).
-  int max_concurrent_dc_outages = 1;
   /// Loss-burst probability bounds.
   double min_loss_burst = 0.05;
   double max_loss_burst = 0.4;
-  /// Duplicate-delivery burst probability bounds (kDuplicateBurst).
-  double min_duplicate_burst = 0.05;
-  double max_duplicate_burst = 0.5;
-  /// Reorder burst probability bounds (kReorderBurst) and the cap on the
-  /// extra held-back delay a reordered message may suffer.
-  double min_reorder_burst = 0.05;
-  double max_reorder_burst = 0.5;
-  TimeMicros max_reorder_extra = 750 * kMillisecond;
   /// Which episode shapes the generator may draw. The delivery-fault shapes
   /// (duplication/reordering, D10) default OFF: enabling a shape changes the
   /// generator's draw sequence, and existing (seed, envelope) plans must

@@ -128,9 +128,6 @@ class MultiVersionStore {
   /// versions removed.
   size_t TruncateVersions(std::string_view key, Timestamp watermark);
 
-  /// Applies TruncateVersions to every key. Returns total removed.
-  size_t TruncateAllVersions(Timestamp watermark);
-
   /// Every key with the given prefix, sorted, paired with its newest
   /// version (one ordered walk of the key range; keys without versions are
   /// skipped).

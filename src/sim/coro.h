@@ -274,8 +274,6 @@ class Promise {
 
   void Set(T value) const { state_->Set(std::move(value)); }
 
-  bool IsSet() const { return state_->value.has_value(); }
-
  private:
   std::shared_ptr<internal::FutureState<T>> state_;
 };

@@ -31,9 +31,15 @@ struct CrossTxnState;
 struct CrossCommitResult;
 struct CrossRead;
 
-namespace recovery {
-class CrossRecovery;
-}  // namespace recovery
+/// Outcome of one cross-group recovery drive (RecoverCrossTxn).
+struct RecoveryResult {
+  /// OK once the canonical decision is landed in every participant group.
+  Status status;
+  /// The decision was reached through the force path (no canonical decision
+  /// existed when this drive looked) and resolved to abort. False when the
+  /// drive merely learned or propagated an existing decision.
+  bool forced_abort = false;
+};
 
 class TransactionClient {
  public:
@@ -57,21 +63,26 @@ class TransactionClient {
   /// observed as prepared-but-undecided in `group`, to its canonical
   /// decision — learning it from the commit group's log, or forcing abort
   /// by proposing an abort decide there — then propagates the canonical
-  /// decide to every participant. Safe to run concurrently with a live
-  /// coordinator: the lowest-position decide in the commit group always
-  /// wins, and every proposer adopts whatever decide it finds first.
-  /// Thin wrapper over recovery::CrossRecovery::Run (txn/recovery.h), the
-  /// shared core the service-side recovery daemon (D10) also drives.
-  sim::Coro<Status> RecoverCrossTxn(std::string group, TxnId id);
+  /// decide to every participant. Both the client and the service-side
+  /// recovery daemon (D10, TransactionService::DriveRecovery) run it; it
+  /// never touches this client's active-transaction state.
+  ///
+  /// The walk is stateless and idempotent: every drive re-derives the
+  /// commit group from the prepare's participant list and adopts whatever
+  /// decide already sits lowest in the commit group's log (first decide
+  /// wins). Concurrent drives — a live coordinator racing the daemon, two
+  /// replicas' daemons escalating at once, or a duplicated recovery RPC —
+  /// all converge on the same canonical decision.
+  sim::Coro<RecoveryResult> RecoverCrossTxn(std::string group, TxnId id);
 
  private:
   // The handle API is the only caller of the per-transaction operations.
   friend class Txn;
   friend class CrossTxn;
   friend class Session;
-  // The shared recovery core borrows this client as its protocol engine
-  // (QueryCrossAll + the ProposeDecide walk).
-  friend class recovery::CrossRecovery;
+  friend void ReleaseSlots(TransactionClient* client, const TxnState& state);
+  friend void ReleaseSlots(TransactionClient* client,
+                           const CrossTxnState& state);
 
   /// Outcome of running the commit protocol for one log position.
   struct InstanceOutcome {

@@ -1,7 +1,7 @@
-// Cross-group 2PC over Paxos-CP (design note D8): the CrossTxn handle, the
-// coordinator state machine (TransactionClient::BeginCrossTxn /
-// CommitCrossTxn / ProposeDecide), stateless recovery, and the Session
-// entry points.
+// Cross-group 2PC over Paxos-CP (design note D8): the CrossTxn handle's
+// operations, the coordinator state machine (TransactionClient::
+// BeginCrossTxn / CommitCrossTxn / ProposeDecide) and stateless recovery
+// (TransactionClient::RecoverCrossTxn).
 #include "txn/cross.h"
 
 #include <algorithm>
@@ -10,27 +10,14 @@
 
 #include "common/logging.h"
 #include "txn/client.h"
-#include "txn/recovery.h"
 
 namespace paxoscp::txn {
 
 namespace {
 
-Status InertError(const char* op) {
-  return Status::FailedPrecondition(
-      std::string("inert cross-group transaction handle: ") + op +
-      " requires an active transaction");
-}
-
-sim::Coro<Result<std::string>> FailedRead(Status status) {
-  co_return Result<std::string>(std::move(status));
-}
-
-sim::Coro<CrossCommitResult> FailedCommit(Status status) {
-  CrossCommitResult result;
-  result.status = std::move(status);
-  co_return result;
-}
+using internal::FailedCommit;
+using internal::FailedRead;
+using internal::InertError;
 
 sim::Coro<std::vector<Result<std::string>>> FailedReadMany(Status status,
                                                            size_t n) {
@@ -75,7 +62,7 @@ bool OwnPrecededByYounger(const wal::LogEntry& entry, uint64_t ts, TxnId id) {
 
 }  // namespace
 
-TxnOutcome ClassifyCrossCommit(const CrossCommitResult& result) {
+TxnOutcome ClassifyCommit(const CrossCommitResult& result) {
   if (result.committed) return TxnOutcome::kCommitted;
   if (result.unknown) return TxnOutcome::kUnknownOutcome;
   if (result.status.IsAborted()) return TxnOutcome::kConflict;
@@ -84,44 +71,8 @@ TxnOutcome ClassifyCrossCommit(const CrossCommitResult& result) {
 
 // -------------------------------------------------------------- CrossTxn
 
-CrossTxn::CrossTxn(TransactionClient* client,
-                   std::unique_ptr<CrossTxnState> state)
-    : client_(client), state_(std::move(state)), phase_(Phase::kActive) {}
-
-CrossTxn::~CrossTxn() {
-  if (phase_ == Phase::kActive) Release();
-}
-
-CrossTxn::CrossTxn(CrossTxn&& other) noexcept
-    : client_(std::exchange(other.client_, nullptr)),
-      state_(std::move(other.state_)),
-      phase_(std::exchange(other.phase_, Phase::kInert)),
-      begin_status_(std::move(other.begin_status_)) {}
-
-CrossTxn& CrossTxn::operator=(CrossTxn&& other) noexcept {
-  if (this != &other) {
-    if (phase_ == Phase::kActive) Release();
-    client_ = std::exchange(other.client_, nullptr);
-    state_ = std::move(other.state_);
-    phase_ = std::exchange(other.phase_, Phase::kInert);
-    begin_status_ = std::move(other.begin_status_);
-  }
-  return *this;
-}
-
-void CrossTxn::Release() {
-  for (const std::string& group : state_->groups) {
-    client_->ReleaseGroup(group);
-  }
-  state_.reset();
-  phase_ = Phase::kFinished;
-}
-
-bool CrossTxn::Usable(const char* op) const {
-  (void)op;
-  assert(phase_ != Phase::kFinished &&
-         "use of a cross-group transaction handle after Commit/Abort");
-  return phase_ == Phase::kActive;
+void ReleaseSlots(TransactionClient* client, const CrossTxnState& state) {
+  for (const std::string& group : state.groups) client->ReleaseGroup(group);
 }
 
 TxnId CrossTxn::id() const { return active() ? state_->id : 0; }
@@ -142,13 +93,13 @@ LogPos CrossTxn::read_pos(const std::string& group) const {
 sim::Coro<Result<std::string>> CrossTxn::Read(std::string group,
                                               std::string row,
                                               std::string attribute) {
-  if (!Usable("Read")) return FailedRead(InertError("Read"));
+  if (!Usable()) return FailedRead<std::string>(InertError("Read"));
   if (wal::IsReservedAttribute(attribute)) {
-    return FailedRead(wal::ReservedAttributeError());
+    return FailedRead<std::string>(wal::ReservedAttributeError());
   }
   auto it = state_->legs.find(group);
   if (it == state_->legs.end()) {
-    return FailedRead(Status::InvalidArgument(
+    return FailedRead<std::string>(Status::InvalidArgument(
         "group '" + group + "' is not a participant of this transaction"));
   }
   // Forwarded like Txn::Read: the awaitable binds the heap-stable leg
@@ -158,7 +109,7 @@ sim::Coro<Result<std::string>> CrossTxn::Read(std::string group,
 
 sim::Coro<std::vector<Result<std::string>>> CrossTxn::ReadMany(
     const std::vector<CrossRead>* reads) {
-  if (!Usable("ReadMany")) {
+  if (!Usable()) {
     return FailedReadMany(InertError("ReadMany"), reads->size());
   }
   // Forwarded like Read: the awaitable binds the heap-stable state, never
@@ -169,7 +120,7 @@ sim::Coro<std::vector<Result<std::string>>> CrossTxn::ReadMany(
 
 Status CrossTxn::Write(const std::string& group, const std::string& row,
                        const std::string& attribute, std::string value) {
-  if (!Usable("Write")) return InertError("Write");
+  if (!Usable()) return InertError("Write");
   if (wal::IsReservedAttribute(attribute)) {
     return wal::ReservedAttributeError();
   }
@@ -183,21 +134,8 @@ Status CrossTxn::Write(const std::string& group, const std::string& row,
 }
 
 sim::Coro<CrossCommitResult> CrossTxn::Commit() {
-  if (!Usable("Commit")) return FailedCommit(InertError("Commit"));
-  // Like Txn::Commit: slots open as soon as the protocol starts; the
-  // handle keeps the state alive while the caller awaits.
-  for (const std::string& group : state_->groups) {
-    client_->ReleaseGroup(group);
-  }
-  phase_ = Phase::kFinished;
-  return client_->CommitCrossTxn(state_.get());
-}
-
-void CrossTxn::Abort() {
-  if (phase_ == Phase::kInert) return;
-  assert(phase_ == Phase::kActive &&
-         "Abort of a cross-group transaction handle after Commit/Abort");
-  if (phase_ == Phase::kActive) Release();
+  if (!Usable()) return FailedCommit<CrossCommitResult>(InertError("Commit"));
+  return client_->CommitCrossTxn(StartCommit());
 }
 
 // ------------------------------------------------- client: begin + 2PC
@@ -287,12 +225,12 @@ sim::Coro<std::vector<Result<std::string>>> TransactionClient::ReadItems(
   kids.reserve(reads->size());
   for (const CrossRead& r : *reads) {
     if (wal::IsReservedAttribute(r.attribute)) {
-      kids.push_back(FailedRead(wal::ReservedAttributeError()));
+      kids.push_back(FailedRead<std::string>(wal::ReservedAttributeError()));
       continue;
     }
     auto it = state->legs.find(r.group);
     if (it == state->legs.end()) {
-      kids.push_back(FailedRead(Status::InvalidArgument(
+      kids.push_back(FailedRead<std::string>(Status::InvalidArgument(
           "group '" + r.group +
           "' is not a participant of this transaction")));
       continue;
@@ -626,69 +564,85 @@ TransactionClient::QueryCrossAll(std::string group, TxnId id) {
   co_return out;
 }
 
-sim::Coro<Status> TransactionClient::RecoverCrossTxn(std::string group,
-                                                     TxnId id) {
-  // The learn-or-force decide walk lives in the shared recovery core
-  // (txn/recovery.cc) so the service-side recovery daemon (D10) runs the
-  // exact same protocol; this client entry point only keeps its Status
-  // signature for existing callers.
-  recovery::RecoveryResult result =
-      co_await recovery::CrossRecovery::Run(this, std::move(group), id);
-  co_return result.status;
-}
-
-// -------------------------------------------------------------- Session
-
-sim::Coro<CrossTxn> Session::FailedBeginCross(Status status) {
-  co_return CrossTxn(std::move(status));
-}
-
-sim::Coro<CrossTxn> Session::BeginCross(std::vector<std::string> groups) {
-  if (client_ == nullptr) {
-    assert(false && "BeginCross on an invalid (default) Session");
-    return FailedBeginCross(Status::FailedPrecondition("invalid session"));
+sim::Coro<RecoveryResult> TransactionClient::RecoverCrossTxn(
+    std::string group, TxnId id) {
+  RecoveryResult out;
+  CommitResult scratch;
+  // 1. Locate the prepare (participant list + commit group). The caller
+  // observed it pending in `group`, so some replica there knows it.
+  CrossQueryResult at_group = co_await QueryCrossAll(group, id);
+  if (!at_group.has_prepare || at_group.participants.empty()) {
+    out.status = Status::NotFound("no replica knows the prepare of txn " +
+                                  TxnIdToString(id) + " in group '" + group +
+                                  "'");
+    co_return out;
   }
-  return client_->BeginCrossTxn(std::move(groups));
-}
+  const std::string commit_group = at_group.participants.front();
 
-sim::Coro<CrossTxnResult> Session::RunTransaction(
-    std::vector<std::string> groups, CrossTxnBody body, RetryPolicy retry) {
-  CrossTxnResult result;
-  if (client_ == nullptr) {
-    assert(false && "RunTransaction on an invalid (default) Session");
-    result.attempts = 1;
-    result.status = Status::FailedPrecondition("invalid session");
-    co_return result;
+  // 2. Learn the canonical decision from the commit group — a replica
+  // whose log is contiguous through its decision marker answers
+  // authoritatively. (Plain if/else, not a conditional expression: a
+  // co_await inside a ternary arm is a temporary-across-suspension
+  // hazard under GCC 12 — see the parameter rules in client.h.)
+  CrossQueryResult at_cg;
+  if (commit_group == group) {
+    at_cg = at_group;
+  } else {
+    at_cg = co_await QueryCrossAll(commit_group, id);
   }
-  sim::Simulator* sim = client_->simulator();
-  const TimeMicros deadline_at =
-      retry.deadline > 0 ? sim->Now() + retry.deadline : 0;
-  for (;;) {
-    ++result.attempts;
-    CrossTxn txn = co_await client_->BeginCrossTxn(groups);
-    if (!txn.active()) {
-      result.outcome = TxnOutcome::kUnavailable;
-      result.status = txn.begin_status();
-      co_return result;
+  bool decision_commit = at_cg.decision_commit;
+
+  // 3. No canonical decision anywhere: force abort by proposing an abort
+  // decide in the commit group. Whatever decide lands lowest wins — if a
+  // slow coordinator's commit decide got there first, the walk adopts it.
+  // The floor must be at or below every possible decide position: after
+  // the commit-group prepare if it landed, else the log's start (the
+  // rare crashed-before-its-first-prepare case).
+  if (!at_cg.has_canonical_decision) {
+    const LogPos cg_floor = at_cg.has_prepare ? at_cg.prepare_pos + 1 : 1;
+    DecideOutcome forced = co_await ProposeDecide(
+        commit_group, cg_floor, kNoDc, id, /*commit=*/false, &scratch);
+    if (!forced.known) {
+      out.status = Status::Unavailable(
+          "recovery could not decide txn " + TxnIdToString(id) +
+          " in commit group '" + commit_group + "'");
+      co_return out;
     }
-    Status body_status = co_await body(&txn);
-    if (!body_status.ok()) {
-      txn.Abort();
-      result.outcome = TxnOutcome::kUnavailable;
-      result.status = std::move(body_status);
-      co_return result;
-    }
-    result.commit = co_await txn.Commit();
-    result.status = result.commit.status;
-    result.outcome = ClassifyCrossCommit(result.commit);
-    if (result.outcome != TxnOutcome::kConflict) co_return result;
-    if (result.attempts >= retry.max_attempts) co_return result;
-    const TimeMicros backoff = client_->RetryBackoff();
-    if (deadline_at != 0 && sim->Now() + backoff >= deadline_at) {
-      co_return result;
-    }
-    co_await sim::SleepFor(sim, backoff);
+    decision_commit = forced.commit;
+    out.forced_abort = !forced.commit;
   }
+
+  // 4. Propagate the canonical decision to every other participant —
+  // their own pending prepares unblock on the same decide. Decides in
+  // participant groups are idempotent canonical copies, so the walk may
+  // start from the participant's frontier (its prepare position, else
+  // the safe read position a replica reports) instead of position 1 —
+  // no need to find an existing lower decide, only to land one.
+  for (const std::string& participant : at_group.participants) {
+    if (participant == commit_group) continue;
+    CrossQueryResult at_part;
+    if (participant == group) {
+      at_part = at_group;
+    } else {
+      at_part = co_await QueryCrossAll(participant, id);
+    }
+    LogPos floor = 1;
+    if (at_part.has_prepare) {
+      floor = at_part.prepare_pos + 1;
+    } else if (at_part.safe_pos > 0) {
+      floor = at_part.safe_pos + 1;
+    }
+    DecideOutcome propagated = co_await ProposeDecide(
+        participant, floor, kNoDc, id, decision_commit, &scratch);
+    if (!propagated.known) {
+      out.status = Status::Unavailable(
+          "recovery could not propagate decide of " + TxnIdToString(id) +
+          " to '" + participant + "'");
+      co_return out;
+    }
+  }
+  out.status = Status::OK();
+  co_return out;
 }
 
 }  // namespace paxoscp::txn

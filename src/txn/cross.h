@@ -82,9 +82,6 @@ struct CrossCommitResult {
   TimeMicros decision_latency = 0;
 };
 
-/// Maps a finished cross-group commit onto the shared outcome taxonomy.
-TxnOutcome ClassifyCrossCommit(const CrossCommitResult& result);
-
 /// One read spec of CrossTxn::ReadMany: an item on one participant leg.
 struct CrossRead {
   std::string group;
@@ -106,20 +103,16 @@ struct CrossTxnState {
   std::map<std::string, TxnState> legs;
 };
 
-/// Movable RAII handle for one active cross-group transaction, mirroring
-/// `Txn` (txn/txn.h): dropping an active handle aborts it locally, a
-/// moved-from handle is inert, use-after-Commit asserts in debug builds.
-class CrossTxn {
+/// Frees `client`'s slot on every participant group.
+void ReleaseSlots(TransactionClient* client, const CrossTxnState& state);
+
+/// Movable RAII handle for one active cross-group transaction, with the
+/// lifecycle of `Txn` (TxnHandle, txn/txn.h): dropping an active handle
+/// aborts it locally, a moved-from handle is inert, use-after-Commit
+/// asserts in debug builds.
+class CrossTxn : public TxnHandle<CrossTxnState> {
  public:
   CrossTxn() = default;
-  ~CrossTxn();
-  CrossTxn(CrossTxn&& other) noexcept;
-  CrossTxn& operator=(CrossTxn&& other) noexcept;
-  CrossTxn(const CrossTxn&) = delete;
-  CrossTxn& operator=(const CrossTxn&) = delete;
-
-  bool active() const { return phase_ == Phase::kActive; }
-  const Status& begin_status() const { return begin_status_; }
 
   TxnId id() const;
   uint64_t cross_ts() const;
@@ -147,39 +140,13 @@ class CrossTxn {
   /// afterwards; the returned coroutine must be awaited immediately.
   sim::Coro<CrossCommitResult> Commit();
 
-  /// Discards the transaction without committing (purely local).
-  void Abort();
-
  private:
   friend class TransactionClient;
   friend class Session;
 
-  enum class Phase { kInert, kActive, kFinished };
-
-  explicit CrossTxn(Status begin_error)
-      : begin_status_(std::move(begin_error)) {}
-  CrossTxn(TransactionClient* client, std::unique_ptr<CrossTxnState> state);
-
-  void Release();
-  bool Usable(const char* op) const;
-
-  TransactionClient* client_ = nullptr;
-  std::unique_ptr<CrossTxnState> state_;
-  Phase phase_ = Phase::kInert;
-  Status begin_status_;
+  explicit CrossTxn(Status begin_error) : TxnHandle(std::move(begin_error)) {}
+  CrossTxn(TransactionClient* client, std::unique_ptr<CrossTxnState> state)
+      : TxnHandle(client, std::move(state)) {}
 };
-
-/// Unified result of Session::RunTransaction over a group set.
-struct CrossTxnResult {
-  TxnOutcome outcome = TxnOutcome::kUnavailable;
-  Status status;
-  int attempts = 0;
-  CrossCommitResult commit;
-
-  bool committed() const { return outcome == TxnOutcome::kCommitted; }
-};
-
-// The cross-group body alias (CrossTxnBody) lives in txn/txn.h beside
-// TxnBody so Session can declare both RunTransaction overloads.
 
 }  // namespace paxoscp::txn

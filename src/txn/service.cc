@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "paxos/value_selection.h"
 #include "txn/client.h"
-#include "txn/recovery.h"
 
 namespace paxoscp::txn {
 
@@ -367,8 +366,7 @@ sim::Task TransactionService::DriveRecovery(std::string group, TxnId id,
   const PendingKey key{group, id};
   recovery_inflight_.insert(key);
   ++recoveries_started_;
-  recovery::RecoveryResult result =
-      co_await recovery::CrossRecovery::Run(RecoveryClient(), group, id);
+  RecoveryResult result = co_await RecoveryClient()->RecoverCrossTxn(group, id);
   recovery_inflight_.erase(key);
   if (generation != recovery_generation_) co_return;  // daemon stopped
   if (result.status.ok()) {

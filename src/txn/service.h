@@ -90,9 +90,9 @@ class TransactionService {
 
   /// Arms a seed-derived deterministic timer whenever a pending prepare
   /// appears in a group's WAL side table; on expiry, a single deterministic
-  /// arbiter per group (the lowest live datacenter) drives the shared
-  /// recovery core (txn/recovery.h) while the other replicas watch with
-  /// backoff — re-arbitrating when the arbiter goes down, and escalating to
+  /// arbiter per group (the lowest live datacenter) drives recovery
+  /// (TransactionClient::RecoverCrossTxn) while the other replicas watch
+  /// with backoff — re-arbitrating when the arbiter goes down, and escalating to
   /// drive themselves after kRecoveryEscalateAfter deferrals. Also adopts
   /// pending prepares already in the side tables (daemon transfer across a
   /// service restart).

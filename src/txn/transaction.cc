@@ -55,18 +55,4 @@ bool PromotionConflicts(const wal::TxnRecord& txn,
   return winners.WritesItemReadBy(txn);
 }
 
-std::vector<wal::ItemId> ConflictingItems(const wal::TxnRecord& txn,
-                                          const wal::LogEntry& winners) {
-  std::vector<wal::ItemId> out;
-  for (const wal::ReadRecord& r : txn.reads) {
-    for (const wal::TxnRecord& w : winners.txns) {
-      if (w.Writes(r.item)) {
-        out.push_back(r.item);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace paxoscp::txn

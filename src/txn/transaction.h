@@ -96,8 +96,4 @@ struct ClientOptions {
 bool PromotionConflicts(const wal::TxnRecord& txn,
                         const wal::LogEntry& winners);
 
-/// Items both read by `txn` and written by `winners` (diagnostics/tests).
-std::vector<wal::ItemId> ConflictingItems(const wal::TxnRecord& txn,
-                                          const wal::LogEntry& winners);
-
 }  // namespace paxoscp::txn

@@ -1,36 +1,25 @@
 #include "txn/txn.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "txn/client.h"
+#include "txn/cross.h"
 
 namespace paxoscp::txn {
 
-namespace {
+namespace internal {
 
 Status InertError(const char* op) {
   return Status::FailedPrecondition(std::string("inert transaction handle: ") +
                                     op + " requires an active transaction");
 }
 
-/// Immediately-failing coroutines for operations on unusable handles (the
-/// caller still gets a real awaitable, so misuse fails gracefully instead
-/// of crashing in release builds).
-sim::Coro<Result<std::string>> FailedRead(Status status) {
-  co_return Result<std::string>(std::move(status));
-}
+}  // namespace internal
 
-sim::Coro<Result<kvstore::AttributeMap>> FailedReadRow(Status status) {
-  co_return Result<kvstore::AttributeMap>(std::move(status));
-}
-
-sim::Coro<CommitResult> FailedCommit(Status status) {
-  CommitResult result;
-  result.status = std::move(status);
-  co_return result;
-}
-
-}  // namespace
+using internal::FailedCommit;
+using internal::FailedRead;
+using internal::InertError;
 
 const char* OutcomeName(TxnOutcome outcome) {
   switch (outcome) {
@@ -52,41 +41,8 @@ TxnOutcome ClassifyCommit(const CommitResult& result) {
 
 // ------------------------------------------------------------------- Txn
 
-Txn::Txn(TransactionClient* client, std::unique_ptr<TxnState> state)
-    : client_(client), state_(std::move(state)), phase_(Phase::kActive) {}
-
-Txn::~Txn() {
-  if (phase_ == Phase::kActive) Release();
-}
-
-Txn::Txn(Txn&& other) noexcept
-    : client_(std::exchange(other.client_, nullptr)),
-      state_(std::move(other.state_)),
-      phase_(std::exchange(other.phase_, Phase::kInert)),
-      begin_status_(std::move(other.begin_status_)) {}
-
-Txn& Txn::operator=(Txn&& other) noexcept {
-  if (this != &other) {
-    if (phase_ == Phase::kActive) Release();
-    client_ = std::exchange(other.client_, nullptr);
-    state_ = std::move(other.state_);
-    phase_ = std::exchange(other.phase_, Phase::kInert);
-    begin_status_ = std::move(other.begin_status_);
-  }
-  return *this;
-}
-
-void Txn::Release() {
-  client_->ReleaseGroup(state_->txn.group);
-  state_.reset();
-  phase_ = Phase::kFinished;
-}
-
-bool Txn::Usable(const char* op) const {
-  (void)op;
-  assert(phase_ != Phase::kFinished &&
-         "use of a transaction handle after Commit/Abort");
-  return phase_ == Phase::kActive;
+void ReleaseSlots(TransactionClient* client, const TxnState& state) {
+  client->ReleaseGroup(state.txn.group);
 }
 
 TxnId Txn::id() const { return active() ? state_->txn.id : 0; }
@@ -104,9 +60,9 @@ size_t Txn::read_set_size() const {
 
 sim::Coro<Result<std::string>> Txn::Read(std::string row,
                                          std::string attribute) {
-  if (!Usable("Read")) return FailedRead(InertError("Read"));
+  if (!Usable()) return FailedRead<std::string>(InertError("Read"));
   if (wal::IsReservedAttribute(attribute)) {
-    return FailedRead(wal::ReservedAttributeError());
+    return FailedRead<std::string>(wal::ReservedAttributeError());
   }
   // Forwarded (not wrapped in a member coroutine): the returned awaitable
   // binds the heap-stable TxnState, never `this`, so moving the handle
@@ -115,13 +71,15 @@ sim::Coro<Result<std::string>> Txn::Read(std::string row,
 }
 
 sim::Coro<Result<kvstore::AttributeMap>> Txn::ReadRow(std::string row) {
-  if (!Usable("ReadRow")) return FailedReadRow(InertError("ReadRow"));
+  if (!Usable()) {
+    return FailedRead<kvstore::AttributeMap>(InertError("ReadRow"));
+  }
   return client_->ReadRowItems(state_.get(), std::move(row));
 }
 
 Status Txn::Write(const std::string& row, const std::string& attribute,
                   std::string value) {
-  if (!Usable("Write")) return InertError("Write");
+  if (!Usable()) return InertError("Write");
   if (wal::IsReservedAttribute(attribute)) {
     return wal::ReservedAttributeError();
   }
@@ -131,7 +89,7 @@ Status Txn::Write(const std::string& row, const std::string& attribute,
 
 Status Txn::WriteRow(const std::string& row,
                      const kvstore::AttributeMap& attributes) {
-  if (!Usable("WriteRow")) return InertError("WriteRow");
+  if (!Usable()) return InertError("WriteRow");
   for (const auto& [attribute, value] : attributes) {
     if (wal::IsReservedAttribute(attribute)) {
       return wal::ReservedAttributeError();
@@ -144,23 +102,8 @@ Status Txn::WriteRow(const std::string& row,
 }
 
 sim::Coro<CommitResult> Txn::Commit() {
-  if (!Usable("Commit")) return FailedCommit(InertError("Commit"));
-  // The group slot opens as soon as the commit protocol starts: the
-  // transaction's buffered state has been frozen, so a new transaction on
-  // the same group may begin while this commit is still in flight.
-  client_->ReleaseGroup(state_->txn.group);
-  phase_ = Phase::kFinished;
-  // state_ stays owned by the handle: the commit coroutine reads it while
-  // the caller awaits (the handle must outlive the await, which every
-  // `co_await txn.Commit()` guarantees).
-  return client_->CommitTxn(state_.get());
-}
-
-void Txn::Abort() {
-  if (phase_ == Phase::kInert) return;  // idempotent on inert handles
-  assert(phase_ == Phase::kActive &&
-         "Abort of a transaction handle after Commit/Abort");
-  if (phase_ == Phase::kActive) Release();
+  if (!Usable()) return FailedCommit<CommitResult>(InertError("Commit"));
+  return client_->CommitTxn(StartCommit());
 }
 
 // --------------------------------------------------------------- Session
@@ -170,34 +113,45 @@ DcId Session::home() const {
   return client_->home();
 }
 
-sim::Coro<Txn> Session::FailedBegin(Status status) {
-  co_return Txn(std::move(status));
-}
-
 sim::Coro<Txn> Session::Begin(std::string group) {
   if (client_ == nullptr) {
     assert(false && "Begin on an invalid (default) Session");
-    return FailedBegin(Status::FailedPrecondition("invalid session"));
+    return FailedBegin<Txn>(Status::FailedPrecondition("invalid session"));
   }
   return client_->BeginTxn(std::move(group));
 }
 
-sim::Coro<TxnResult> Session::RunTransaction(std::string group, TxnBody body,
-                                             RetryPolicy retry) {
+sim::Coro<CrossTxn> Session::BeginCross(std::vector<std::string> groups) {
+  if (client_ == nullptr) {
+    assert(false && "BeginCross on an invalid (default) Session");
+    return FailedBegin<CrossTxn>(
+        Status::FailedPrecondition("invalid session"));
+  }
+  return client_->BeginCrossTxn(std::move(groups));
+}
+
+template <typename Handle, typename ResultT, typename Target>
+sim::Coro<ResultT> Session::RetryLoop(Target target,
+                                      BasicTxnBody<Handle> body,
+                                      RetryPolicy retry) {
+  ResultT result;
   if (client_ == nullptr) {
     assert(false && "RunTransaction on an invalid (default) Session");
-    TxnResult invalid;
-    invalid.attempts = 1;
-    invalid.status = Status::FailedPrecondition("invalid session");
-    co_return invalid;
+    result.attempts = 1;
+    result.status = Status::FailedPrecondition("invalid session");
+    co_return result;
   }
   sim::Simulator* sim = client_->simulator();
   const TimeMicros deadline_at =
       retry.deadline > 0 ? sim->Now() + retry.deadline : 0;
-  TxnResult result;
   for (;;) {
     ++result.attempts;
-    Txn txn = co_await client_->BeginTxn(group);
+    Handle txn;
+    if constexpr (std::is_same_v<Handle, Txn>) {
+      txn = co_await client_->BeginTxn(target);
+    } else {
+      txn = co_await client_->BeginCrossTxn(target);
+    }
     if (!txn.active()) {
       result.outcome = TxnOutcome::kUnavailable;
       result.status = txn.begin_status();
@@ -225,6 +179,17 @@ sim::Coro<TxnResult> Session::RunTransaction(std::string group, TxnBody body,
     }
     co_await sim::SleepFor(sim, backoff);
   }
+}
+
+sim::Coro<TxnResult> Session::RunTransaction(std::string group, TxnBody body,
+                                             RetryPolicy retry) {
+  return RetryLoop<Txn, TxnResult>(std::move(group), std::move(body), retry);
+}
+
+sim::Coro<CrossTxnResult> Session::RunTransaction(
+    std::vector<std::string> groups, CrossTxnBody body, RetryPolicy retry) {
+  return RetryLoop<CrossTxn, CrossTxnResult>(std::move(groups),
+                                             std::move(body), retry);
 }
 
 }  // namespace paxoscp::txn

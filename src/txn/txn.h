@@ -3,13 +3,15 @@
 // read position, read set, buffered writes — obtained from
 // `Session::Begin(group)`. Dropping an active handle aborts it (an abort
 // is purely local: buffered state is discarded, no messages are sent).
+// `Txn` and the cross-group `CrossTxn` (txn/cross.h) share one lifecycle,
+// `TxnHandle`; they differ only in how many groups they span.
 //
 // `Session` is the per-application-instance entry point: it wraps a
 // cluster-owned TransactionClient and adds `RunTransaction`, the retry
 // combinator every consumer of the old string-keyed API hand-rolled —
 // re-run the body on conflict aborts with randomized backoff, bounded by
 // attempts and a virtual-time deadline, and report one unified
-// `TxnResult`.
+// `TxnResult`. One retry loop serves both handle kinds.
 //
 // Misuse rules: committing twice or operating on a committed handle is a
 // programming error (assert in debug builds, FailedPrecondition in
@@ -22,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -36,7 +39,8 @@ namespace paxoscp::txn {
 class TransactionClient;
 class Session;
 class CrossTxn;
-struct CrossTxnResult;
+struct CrossTxnState;
+struct CrossCommitResult;
 
 /// Unified transaction-fate taxonomy (paper §2.2/§4 outcomes), collapsing
 /// the old Status / CommitResult::committed / read_only triage:
@@ -66,8 +70,10 @@ const char* OutcomeName(TxnOutcome outcome);
 /// Maps a finished commit protocol run onto the taxonomy. Never returns
 /// kUnavailable: a commit that ran but produced no decision is
 /// kUnknownOutcome (the begin/read paths, which cannot have proposed
-/// anything, are the only sources of kUnavailable).
+/// anything, are the only sources of kUnavailable). The cross-group
+/// overload lives in txn/cross.cc.
 TxnOutcome ClassifyCommit(const CommitResult& result);
+TxnOutcome ClassifyCommit(const CrossCommitResult& result);
 
 /// Client-side state of one active transaction, owned by its `Txn` handle
 /// (this is the payload the old API kept in a string-keyed map inside the
@@ -79,23 +85,125 @@ struct TxnState {
   std::map<wal::ItemId, std::string> read_cache;
 };
 
-/// Movable RAII handle for one active transaction on one group.
-class Txn {
+/// Frees `client`'s slot on every group the state spans (one group here;
+/// every participant for CrossTxnState, txn/cross.h).
+void ReleaseSlots(TransactionClient* client, const TxnState& state);
+
+/// Helpers for operations on unusable handles: the caller still gets a
+/// real awaitable, so misuse fails gracefully instead of crashing in
+/// release builds.
+namespace internal {
+Status InertError(const char* op);
+template <typename T>
+sim::Coro<Result<T>> FailedRead(Status status) {
+  co_return Result<T>(std::move(status));
+}
+template <typename CommitResultT>
+sim::Coro<CommitResultT> FailedCommit(Status status) {
+  CommitResultT result;
+  result.status = std::move(status);
+  co_return result;
+}
+}  // namespace internal
+
+/// Lifecycle shared by the transaction handles `Txn` and `CrossTxn`: a
+/// movable RAII owner of the heap-allocated client-side `State` (its
+/// address stays stable across handle moves — in-flight operation
+/// coroutines hold a pointer to it). An active handle holds its client's
+/// slot on every group it spans; Commit, Abort and dropping the handle
+/// free them. Dropping an active handle aborts the transaction (a local
+/// state drop, no messages — lost client state is an implicit abort,
+/// paper §2.2).
+template <typename State>
+class TxnHandle {
  public:
   /// Inert handle: every operation returns FailedPrecondition.
-  Txn() = default;
-  /// Aborts the transaction if still active (local state drop, no
-  /// messages — lost client state is an implicit abort, paper §2.2).
-  ~Txn();
-  Txn(Txn&& other) noexcept;
-  Txn& operator=(Txn&& other) noexcept;
-  Txn(const Txn&) = delete;
-  Txn& operator=(const Txn&) = delete;
+  TxnHandle() = default;
+  ~TxnHandle() {
+    if (phase_ == Phase::kActive) Release();
+  }
+  TxnHandle(TxnHandle&& other) noexcept
+      : client_(std::exchange(other.client_, nullptr)),
+        state_(std::move(other.state_)),
+        phase_(std::exchange(other.phase_, Phase::kInert)),
+        begin_status_(std::move(other.begin_status_)) {}
+  TxnHandle& operator=(TxnHandle&& other) noexcept {
+    if (this != &other) {
+      if (phase_ == Phase::kActive) Release();
+      client_ = std::exchange(other.client_, nullptr);
+      state_ = std::move(other.state_);
+      phase_ = std::exchange(other.phase_, Phase::kInert);
+      begin_status_ = std::move(other.begin_status_);
+    }
+    return *this;
+  }
+  TxnHandle(const TxnHandle&) = delete;
+  TxnHandle& operator=(const TxnHandle&) = delete;
 
   /// True while the handle owns a live, uncommitted transaction.
   bool active() const { return phase_ == Phase::kActive; }
-  /// Why Session::Begin produced an inactive handle (OK when active).
+  /// Why the begin produced an inactive handle (OK when active).
   const Status& begin_status() const { return begin_status_; }
+
+  /// Discards the transaction without committing (idempotent on inert
+  /// handles; a programming error on finished ones).
+  void Abort() {
+    if (phase_ == Phase::kInert) return;
+    assert(phase_ == Phase::kActive &&
+           "Abort of a transaction handle after Commit/Abort");
+    if (phase_ == Phase::kActive) Release();
+  }
+
+ protected:
+  /// Inert handle carrying the begin failure.
+  explicit TxnHandle(Status begin_error)
+      : begin_status_(std::move(begin_error)) {}
+  /// Active handle (built by the TransactionClient begin paths).
+  TxnHandle(TransactionClient* client, std::unique_ptr<State> state)
+      : client_(client), state_(std::move(state)), phase_(Phase::kActive) {}
+
+  /// Asserts the handle is not being used after Commit/Abort; returns
+  /// whether it is usable (active).
+  bool Usable() const {
+    assert(phase_ != Phase::kFinished &&
+           "use of a transaction handle after Commit/Abort");
+    return phase_ == Phase::kActive;
+  }
+
+  /// Starts the commit of a usable handle: the slots open as soon as the
+  /// commit protocol starts (the buffered state is frozen, so a new
+  /// transaction on the same groups may begin while this commit is still
+  /// in flight) and the handle is finished. The state stays owned by the
+  /// handle: the commit coroutine reads it while the caller awaits (the
+  /// handle must outlive the await, which every `co_await txn.Commit()`
+  /// guarantees).
+  State* StartCommit() {
+    ReleaseSlots(client_, *state_);
+    phase_ = Phase::kFinished;
+    return state_.get();
+  }
+
+  TransactionClient* client_ = nullptr;
+  std::unique_ptr<State> state_;
+
+ private:
+  enum class Phase { kInert, kActive, kFinished };
+
+  /// Frees the slots and drops local state.
+  void Release() {
+    ReleaseSlots(client_, *state_);
+    state_.reset();
+    phase_ = Phase::kFinished;
+  }
+
+  Phase phase_ = Phase::kInert;
+  Status begin_status_;
+};
+
+/// Movable RAII handle for one active transaction on one group.
+class Txn : public TxnHandle<TxnState> {
+ public:
+  Txn() = default;
 
   TxnId id() const;
   LogPos read_pos() const;
@@ -133,31 +241,13 @@ class Txn {
   /// returned coroutine must be awaited immediately.
   sim::Coro<CommitResult> Commit();
 
-  /// Discards the transaction without committing (idempotent on inert
-  /// handles; a programming error on finished ones).
-  void Abort();
-
  private:
   friend class TransactionClient;
   friend class Session;
 
-  enum class Phase { kInert, kActive, kFinished };
-
-  /// Inert handle carrying the begin failure.
-  explicit Txn(Status begin_error) : begin_status_(std::move(begin_error)) {}
-  /// Active handle (built by TransactionClient::BeginTxn).
-  Txn(TransactionClient* client, std::unique_ptr<TxnState> state);
-
-  /// Releases the per-group active slot and drops local state.
-  void Release();
-  /// Asserts the handle is not being used after Commit/Abort; returns
-  /// whether it is usable (kActive).
-  bool Usable(const char* op) const;
-
-  TransactionClient* client_ = nullptr;
-  std::unique_ptr<TxnState> state_;
-  Phase phase_ = Phase::kInert;
-  Status begin_status_;
+  explicit Txn(Status begin_error) : TxnHandle(std::move(begin_error)) {}
+  Txn(TransactionClient* client, std::unique_ptr<TxnState> state)
+      : TxnHandle(client, std::move(state)) {}
 };
 
 /// Retry bounds for Session::RunTransaction. Defaults follow the paper's
@@ -178,8 +268,10 @@ struct RetryPolicy {
   TimeMicros deadline = 0;
 };
 
-/// Unified result of Session::RunTransaction.
-struct TxnResult {
+/// Unified result of Session::RunTransaction, over either commit result
+/// (TxnResult for one group, CrossTxnResult for a group set).
+template <typename CommitResultT>
+struct BasicTxnResult {
   TxnOutcome outcome = TxnOutcome::kUnavailable;
   /// Detail behind the outcome (OK iff committed()).
   Status status;
@@ -187,21 +279,24 @@ struct TxnResult {
   int attempts = 0;
   /// Bookkeeping of the last commit protocol run (promotions, latency,
   /// combination — the metrics the paper's evaluation reports).
-  CommitResult commit;
+  CommitResultT commit;
 
   bool committed() const {
     return outcome == TxnOutcome::kCommitted ||
            outcome == TxnOutcome::kReadOnly;
   }
 };
+using TxnResult = BasicTxnResult<CommitResult>;
+/// Cross transactions never report kReadOnly (see txn/cross.h).
+using CrossTxnResult = BasicTxnResult<CrossCommitResult>;
 
-/// The transaction body run by Session::RunTransaction: performs reads and
+/// A transaction body run by Session::RunTransaction: performs reads and
 /// writes through the handle and returns OK to request a commit, or any
 /// error to abort the attempt (body errors are never retried).
-using TxnBody = std::function<sim::Coro<Status>(Txn*)>;
-
-/// Cross-group body (see txn/cross.h for the handle).
-using CrossTxnBody = std::function<sim::Coro<Status>(CrossTxn*)>;
+template <typename Handle>
+using BasicTxnBody = std::function<sim::Coro<Status>(Handle*)>;
+using TxnBody = BasicTxnBody<Txn>;
+using CrossTxnBody = BasicTxnBody<CrossTxn>;
 
 /// Per-application-instance session: wraps a cluster-owned
 /// TransactionClient (see core::Cluster::CreateSession / Db::Session —
@@ -248,9 +343,17 @@ class Session {
                                            RetryPolicy retry = {});
 
  private:
-  /// Immediately-inactive handles for misuse of an invalid session.
-  static sim::Coro<Txn> FailedBegin(Status status);
-  static sim::Coro<CrossTxn> FailedBeginCross(Status status);
+  /// Immediately-inactive handle for misuse of an invalid session.
+  template <typename Handle>
+  static sim::Coro<Handle> FailedBegin(Status status) {
+    co_return Handle(std::move(status));
+  }
+
+  /// The loop behind both RunTransaction overloads: `Handle` is Txn with
+  /// `Target` a group, or CrossTxn with `Target` a group list.
+  template <typename Handle, typename ResultT, typename Target>
+  sim::Coro<ResultT> RetryLoop(Target target, BasicTxnBody<Handle> body,
+                              RetryPolicy retry);
 
   TransactionClient* client_ = nullptr;
 };

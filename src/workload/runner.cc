@@ -44,6 +44,78 @@ WindowCounts* WindowFor(RunContext* ctx, TimeMicros started_at) {
   return &ctx->stats.windows[index];
 }
 
+/// Counts the start of one transaction — overall, per home datacenter
+/// and in its availability window — and returns its start time.
+TimeMicros CountAttempt(RunContext* ctx, DcId dc) {
+  ++ctx->stats.attempted;
+  ++ctx->stats.attempted_by_dc[dc];
+  const TimeMicros started_at = ctx->cluster->simulator()->Now();
+  if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->attempted;
+  return started_at;
+}
+
+/// Counts a transaction that never reached its commit (begin or a read
+/// could not be served anywhere).
+void CountUnavailable(RunContext* ctx, TimeMicros started_at) {
+  ++ctx->stats.failed;
+  if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
+}
+
+/// Tallies the fate of a finished commit of either handle kind (a
+/// txn::CommitResult or a txn::CrossCommitResult): the fate counts, the
+/// availability window, and for a commit the by-round counts and latency
+/// histograms. Returns the fate; counters that only one kind has stay
+/// with the caller.
+template <typename CommitResultT>
+txn::TxnOutcome CountCommit(RunContext* ctx, DcId dc, TimeMicros started_at,
+                            const CommitResultT& result) {
+  RunStats& stats = ctx->stats;
+  const txn::TxnOutcome fate = txn::ClassifyCommit(result);
+  if (WindowCounts* w = WindowFor(ctx, started_at)) {
+    switch (fate) {
+      case txn::TxnOutcome::kReadOnly: ++w->read_only; break;
+      case txn::TxnOutcome::kCommitted: ++w->committed; break;
+      case txn::TxnOutcome::kConflict: ++w->aborted; break;
+      default: ++w->unavailable; break;
+    }
+  }
+  switch (fate) {
+    case txn::TxnOutcome::kReadOnly:
+      ++stats.read_only;
+      break;
+    case txn::TxnOutcome::kCommitted:
+      ++stats.committed;
+      ++stats.committed_by_dc[dc];
+      EnsureRound(&stats, result.promotions);
+      ++stats.commits_by_round[result.promotions];
+      stats.latency_by_round[result.promotions].Record(result.latency);
+      stats.latency_committed.Record(result.latency);
+      stats.latency_by_dc[dc].Record(result.latency);
+      stats.max_promotions = std::max(stats.max_promotions,
+                                      result.promotions);
+      break;
+    case txn::TxnOutcome::kConflict:
+      ++stats.aborted;
+      stats.latency_aborted.Record(result.latency);
+      break;
+    default:
+      ++stats.failed;
+      break;
+  }
+  return fate;
+}
+
+/// Records the client-side outcome the checker's (L1) obligation compares
+/// with the logs; the caller fills in the group fields.
+core::ClientOutcome* AddOutcome(RunContext* ctx, TxnId id, bool committed,
+                                bool unknown) {
+  core::ClientOutcome& outcome = ctx->stats.outcomes.emplace_back();
+  outcome.id = id;
+  outcome.committed = committed;
+  outcome.unknown = unknown;
+  return &outcome;
+}
+
 /// Runs one single-group transaction. `planned` (multi-group runs only)
 /// supplies pre-drawn ops and the target shard; without it, ops come from
 /// generator->NextTxnOps() on the configured single group — the exact
@@ -56,18 +128,12 @@ sim::Coro<void> RunOneTxn(RunContext* ctx, txn::Session* session,
                                  ? ctx->group_names[planned->groups.front()]
                                  : ctx->config.workload.group;
   const std::string& row = ctx->config.workload.row;
-  RunStats& stats = ctx->stats;
   const DcId dc = session->home();
-
-  ++stats.attempted;
-  ++stats.attempted_by_dc[dc];
-  const TimeMicros started_at = ctx->cluster->simulator()->Now();
-  if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->attempted;
+  const TimeMicros started_at = CountAttempt(ctx, dc);
 
   txn::Txn txn = co_await session->Begin(group);
   if (!txn.active()) {
-    ++stats.failed;
-    if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
+    CountUnavailable(ctx, started_at);
     co_return;
   }
   const TxnId id = txn.id();
@@ -81,13 +147,10 @@ sim::Coro<void> RunOneTxn(RunContext* ctx, txn::Session* session,
       if (!value.ok()) {
         // Read could not be served anywhere (e.g. total outage): abandon.
         txn.Abort();
-        ++stats.failed;
-        if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
-        core::ClientOutcome outcome;
-        outcome.id = id;
-        outcome.committed = false;
-        if (multi) outcome.group = group;
-        stats.outcomes.push_back(outcome);
+        CountUnavailable(ctx, started_at);
+        core::ClientOutcome* outcome =
+            AddOutcome(ctx, id, /*committed=*/false, /*unknown=*/false);
+        if (multi) outcome->group = group;
         co_return;
       }
     } else {
@@ -96,50 +159,16 @@ sim::Coro<void> RunOneTxn(RunContext* ctx, txn::Session* session,
   }
 
   txn::CommitResult result = co_await txn.Commit();
-  const txn::TxnOutcome fate = txn::ClassifyCommit(result);
-
-  core::ClientOutcome outcome;
-  outcome.id = id;
-  outcome.committed = result.committed;
-  outcome.read_only = result.read_only;
-  outcome.position = result.position;
-  outcome.unknown = fate == txn::TxnOutcome::kUnknownOutcome;
-  if (multi) outcome.group = group;
-  stats.outcomes.push_back(outcome);
-
-  if (WindowCounts* w = WindowFor(ctx, started_at)) {
-    switch (fate) {
-      case txn::TxnOutcome::kReadOnly: ++w->read_only; break;
-      case txn::TxnOutcome::kCommitted: ++w->committed; break;
-      case txn::TxnOutcome::kConflict: ++w->aborted; break;
-      default: ++w->unavailable; break;
-    }
-  }
-
-  switch (fate) {
-    case txn::TxnOutcome::kReadOnly:
-      ++stats.read_only;
-      break;
-    case txn::TxnOutcome::kCommitted:
-      ++stats.committed;
-      ++stats.committed_by_dc[dc];
-      EnsureRound(&stats, result.promotions);
-      ++stats.commits_by_round[result.promotions];
-      stats.latency_by_round[result.promotions].Record(result.latency);
-      stats.latency_committed.Record(result.latency);
-      if (multi) stats.latency_single_multi.Record(result.latency);
-      stats.latency_by_dc[dc].Record(result.latency);
-      stats.max_promotions = std::max(stats.max_promotions,
-                                      result.promotions);
-      if (result.fast_path) ++stats.fast_path_commits;
-      break;
-    case txn::TxnOutcome::kConflict:
-      ++stats.aborted;
-      stats.latency_aborted.Record(result.latency);
-      break;
-    default:
-      ++stats.failed;
-      break;
+  const txn::TxnOutcome fate = CountCommit(ctx, dc, started_at, result);
+  core::ClientOutcome* outcome =
+      AddOutcome(ctx, id, result.committed,
+                 fate == txn::TxnOutcome::kUnknownOutcome);
+  outcome->read_only = result.read_only;
+  outcome->position = result.position;
+  if (multi) outcome->group = group;
+  if (fate == txn::TxnOutcome::kCommitted) {
+    if (multi) ctx->stats.latency_single_multi.Record(result.latency);
+    if (result.fast_path) ++ctx->stats.fast_path_commits;
   }
 }
 
@@ -160,10 +189,7 @@ sim::Coro<void> RunOneTxnMulti(RunContext* ctx, txn::Session* session,
     co_return;
   }
 
-  ++stats.attempted;
-  ++stats.attempted_by_dc[dc];
-  const TimeMicros started_at = ctx->cluster->simulator()->Now();
-  if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->attempted;
+  const TimeMicros started_at = CountAttempt(ctx, dc);
 
   // ---- Cross-group transaction: one leg per participating shard.
   ++stats.cross_attempted;
@@ -173,9 +199,8 @@ sim::Coro<void> RunOneTxnMulti(RunContext* ctx, txn::Session* session,
 
   txn::CrossTxn txn = co_await session->BeginCross(groups);
   if (!txn.active()) {
-    ++stats.failed;
+    CountUnavailable(ctx, started_at);
     ++stats.cross_unavailable;
-    if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
     co_return;
   }
   const TxnId id = txn.id();
@@ -203,61 +228,32 @@ sim::Coro<void> RunOneTxnMulti(RunContext* ctx, txn::Session* session,
     }
     if (read_failed) {
       txn.Abort();
-      ++stats.failed;
+      CountUnavailable(ctx, started_at);
       ++stats.cross_unavailable;
-      if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
-      core::ClientOutcome outcome;
-      outcome.id = id;
-      outcome.committed = false;
-      outcome.groups = groups;
-      stats.outcomes.push_back(outcome);
+      AddOutcome(ctx, id, /*committed=*/false, /*unknown=*/false)->groups =
+          groups;
       co_return;
     }
   }
 
   txn::CrossCommitResult result = co_await txn.Commit();
-  const txn::TxnOutcome fate = txn::ClassifyCrossCommit(result);
-
-  core::ClientOutcome outcome;
-  outcome.id = id;
-  outcome.committed = result.committed;
-  outcome.unknown = fate == txn::TxnOutcome::kUnknownOutcome;
-  outcome.groups = groups;
-  stats.outcomes.push_back(outcome);
-
-  if (WindowCounts* w = WindowFor(ctx, started_at)) {
-    switch (fate) {
-      case txn::TxnOutcome::kCommitted: ++w->committed; break;
-      case txn::TxnOutcome::kConflict: ++w->aborted; break;
-      default: ++w->unavailable; break;
-    }
-  }
+  const txn::TxnOutcome fate = CountCommit(ctx, dc, started_at, result);
+  AddOutcome(ctx, id, result.committed,
+             fate == txn::TxnOutcome::kUnknownOutcome)
+      ->groups = groups;
   switch (fate) {
     case txn::TxnOutcome::kCommitted:
-      ++stats.committed;
       ++stats.cross_committed;
-      ++stats.committed_by_dc[dc];
-      EnsureRound(&stats, result.promotions);
-      ++stats.commits_by_round[result.promotions];
-      stats.latency_by_round[result.promotions].Record(result.latency);
-      stats.latency_committed.Record(result.latency);
       stats.latency_cross.Record(result.latency);
       stats.latency_cross_decision.Record(result.decision_latency);
-      stats.latency_by_dc[dc].Record(result.latency);
-      stats.max_promotions = std::max(stats.max_promotions,
-                                      result.promotions);
       break;
     case txn::TxnOutcome::kConflict:
-      ++stats.aborted;
       ++stats.cross_aborted;
-      stats.latency_aborted.Record(result.latency);
       break;
     case txn::TxnOutcome::kUnknownOutcome:
-      ++stats.failed;
       ++stats.cross_unknown;
       break;
     default:
-      ++stats.failed;
       ++stats.cross_unavailable;
       break;
   }

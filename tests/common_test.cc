@@ -282,24 +282,6 @@ TEST(RandomTest, BernoulliApproximatesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(RandomTest, ExponentialHasRequestedMean) {
-  Rng rng(23);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(50.0);
-  EXPECT_NEAR(sum / n, 50.0, 2.5);
-}
-
-TEST(RandomTest, ForkProducesIndependentStream) {
-  Rng a(42);
-  Rng b = a.Fork();
-  bool differs = false;
-  for (int i = 0; i < 10; ++i) {
-    if (a.Next() != b.Next()) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
 // ------------------------------------------------------------- Histogram --
 
 TEST(HistogramTest, EmptyHistogram) {

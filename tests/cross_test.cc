@@ -525,7 +525,7 @@ TEST(CrossRecoveryTest, CoordinatorCrashBetweenPrepareAndDecideIsRecovered) {
   struct RecoveryRun {
     sim::Task operator()(txn::TransactionClient* c, TxnId id,
                          RecoveryProbe* out) {
-      out->recovered = co_await c->RecoverCrossTxn("a", id);
+      out->recovered = (co_await c->RecoverCrossTxn("a", id)).status;
     }
   } recovery_run;
   recovery_run(recovery, probe.crashed_id, &rec);
@@ -636,7 +636,7 @@ TEST(CrossRecoveryTest, PartialPrepareCrashIsRecovered) {
   struct RecoveryRun {
     sim::Task operator()(txn::TransactionClient* c, TxnId id,
                          RecoveryProbe* out) {
-      out->recovered = co_await c->RecoverCrossTxn("a", id);
+      out->recovered = (co_await c->RecoverCrossTxn("a", id)).status;
     }
   } recovery_run;
   recovery_run(recovery, probe.crashed_id, &rec);
@@ -709,7 +709,7 @@ TEST(CrossRecoveryTest, ParallelPartialPrepareCrashIsRecovered) {
   struct RecoveryRun {
     sim::Task operator()(txn::TransactionClient* c, std::string group,
                          TxnId id, RecoveryProbe* out) {
-      out->recovered = co_await c->RecoverCrossTxn(group, id);
+      out->recovered = (co_await c->RecoverCrossTxn(group, id)).status;
     }
   } recovery_run;
   recovery_run(recovery, stuck_group, probe.crashed_id, &rec);
@@ -772,7 +772,7 @@ TEST(CrossRecoveryTest, RecoveryAdoptsExistingCommitDecision) {
   struct RecoveryRun {
     sim::Task operator()(txn::TransactionClient* c, TxnId id,
                          RecoveryProbe* out) {
-      out->recovered = co_await c->RecoverCrossTxn("b", id);
+      out->recovered = (co_await c->RecoverCrossTxn("b", id)).status;
     }
   } recovery_run;
   recovery_run(recovery, probe.id, &rec);
@@ -1029,7 +1029,7 @@ TEST(CrossIdempotenceTest, DuplicateRecoveryInvocationsConverge) {
   struct RecoveryRun {
     sim::Task operator()(txn::TransactionClient* c, TxnId id,
                          RecoveryProbe* out) {
-      out->recovered = co_await c->RecoverCrossTxn("a", id);
+      out->recovered = (co_await c->RecoverCrossTxn("a", id)).status;
     }
   } recovery_run;
 

@@ -117,8 +117,8 @@ void ValidateAgainstEnvelope(const FaultPlan& plan,
         break;
       case FaultKind::kDuplicateBurst:
         ASSERT_FALSE(duplicate_active) << "overlapping duplicate bursts";
-        ASSERT_GE(e.loss, envelope.min_duplicate_burst);
-        ASSERT_LE(e.loss, envelope.max_duplicate_burst);
+        ASSERT_GE(e.loss, kMinDuplicateBurst);
+        ASSERT_LE(e.loss, kMaxDuplicateBurst);
         duplicate_active = true;
         break;
       case FaultKind::kDuplicateRestore:
@@ -127,10 +127,10 @@ void ValidateAgainstEnvelope(const FaultPlan& plan,
         break;
       case FaultKind::kReorderBurst:
         ASSERT_FALSE(reorder_active) << "overlapping reorder bursts";
-        ASSERT_GE(e.loss, envelope.min_reorder_burst);
-        ASSERT_LE(e.loss, envelope.max_reorder_burst);
+        ASSERT_GE(e.loss, kMinReorderBurst);
+        ASSERT_LE(e.loss, kMaxReorderBurst);
         ASSERT_GT(e.extra, 0);
-        ASSERT_LE(e.extra, envelope.max_reorder_extra);
+        ASSERT_LE(e.extra, kMaxReorderExtra);
         reorder_active = true;
         break;
       case FaultKind::kReorderRestore:
@@ -157,7 +157,7 @@ void ValidateAgainstEnvelope(const FaultPlan& plan,
   EXPECT_FALSE(duplicate_active);
   EXPECT_FALSE(reorder_active);
   for (const auto& [link, count] : cut_links) EXPECT_EQ(count, 0);
-  EXPECT_LE(max_concurrent, envelope.max_concurrent_dc_outages);
+  EXPECT_LE(max_concurrent, kMaxConcurrentDcOutages);
 }
 
 TEST(RandomPlanGeneratorTest, PlansRespectTheEnvelope) {

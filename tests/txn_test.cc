@@ -47,17 +47,6 @@ TEST(ConflictTest, ReadWriteIntersectionDetected) {
   EXPECT_FALSE(PromotionConflicts(Record(MakeTxnId(2, 3), {}, {}), winners));
 }
 
-TEST(ConflictTest, ConflictingItemsListsExactOverlap) {
-  wal::LogEntry winners;
-  winners.txns.push_back(Record(MakeTxnId(1, 1), {}, {"a", "b"}));
-  winners.txns.push_back(Record(MakeTxnId(1, 2), {}, {"c"}));
-  auto items = ConflictingItems(
-      Record(MakeTxnId(2, 1), {"a", "c", "z"}, {}), winners);
-  ASSERT_EQ(items.size(), 2u);
-  EXPECT_EQ(items[0].attribute, "a");
-  EXPECT_EQ(items[1].attribute, "c");
-}
-
 TEST(ActiveTxnTest, ToRecordFreezesState) {
   ActiveTxn txn;
   txn.group = kGroup;
