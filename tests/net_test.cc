@@ -1,11 +1,14 @@
 // Unit tests for the simulated network: latency, timeouts, loss, outages,
-// broadcast policies.
+// broadcast policies, endpoint replacement and the event shape of one
+// message flight.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "net/network.h"
 #include "sim/coro.h"
+#include "sim/race_detector.h"
 
 namespace paxoscp::net {
 namespace {
@@ -492,6 +495,130 @@ TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
   EXPECT_TRUE(result->status.ok()) << result->status.ToString();
   EXPECT_EQ(handled, 1);  // only the primary copy was delivered
   EXPECT_EQ(network_->messages_duplicated(), 1u);
+}
+
+// ---- Endpoint replacement (the Cluster::RestartService pattern) -----------
+
+TEST_F(NetworkTest, ReplacedEndpointAnswersInFlightRequestFromItsHandler) {
+  Build(2);
+  network_->RegisterEndpoint(1, EchoHandler(&sim_, 1, 20 * kMillisecond));
+  std::optional<CallResult> in_flight;
+  network_->Call(0, 1, std::any(std::string("a")))
+      .OnReady([&](CallResult&& r) { in_flight = std::move(r); });
+  // The request arrives at 5 ms and its handler sleeps until 25 ms; the
+  // endpoint is replaced at 10 ms, while that handler is suspended. The
+  // handler reads its captured dc after the sleep, so it must still be the
+  // handler the request was delivered to.
+  sim_.ScheduleAfter(10 * kMillisecond, [&] {
+    network_->RegisterEndpoint(1, EchoHandler(&sim_, 7));
+  });
+  sim_.Run();
+  ASSERT_TRUE(in_flight.has_value());
+  ASSERT_TRUE(in_flight->status.ok()) << in_flight->status.ToString();
+  EXPECT_EQ(std::any_cast<std::string>(in_flight->response), "1:a");
+
+  std::optional<CallResult> next;
+  network_->Call(0, 1, std::any(std::string("b")))
+      .OnReady([&](CallResult&& r) { next = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(next.has_value());
+  ASSERT_TRUE(next->status.ok()) << next->status.ToString();
+  EXPECT_EQ(std::any_cast<std::string>(next->response), "7:b");
+}
+
+TEST_F(NetworkTest, CallToDatacenterWithoutEndpointTimesOut) {
+  NetworkOptions options;
+  options.latency_jitter = 0;
+  std::vector<std::vector<TimeMicros>> rtt(2,
+                                           std::vector<TimeMicros>(2, kRtt));
+  Network network(&sim_, rtt, options);
+  network.RegisterEndpoint(0, EchoHandler(&sim_, 0));  // dc1 has none
+  std::optional<CallResult> result;
+  network.Call(0, 1, std::any(std::string("x")), 30 * kMillisecond)
+      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->status.IsTimedOut());
+  EXPECT_EQ(network.messages_sent(), 1u);
+  EXPECT_EQ(network.messages_dropped(), 1u);
+}
+
+// ---- Flight shape -------------------------------------------------------
+// The events one call schedules are part of every fixed-seed output: event
+// counts feed sim.events_per_txn, and insertion order is the tie-break (and
+// the tie-shuffle key) among equal-time events. A rewrite of the delivery
+// path must keep these counts and tags.
+
+TEST_F(NetworkTest, FlightEventCountsArePinned) {
+  Build(2);
+  auto events_of_one_call = [&] {
+    const uint64_t before = sim_.EventsExecuted();
+    std::optional<CallResult> result;
+    network_->Call(0, 1, std::any(std::string("x")), 50 * kMillisecond)
+        .OnReady([&](CallResult&& r) { result = std::move(r); });
+    sim_.Run();
+    EXPECT_TRUE(result.has_value());
+    return sim_.EventsExecuted() - before;
+  };
+
+  // Timeout, request leg, handler frame destroy, response leg, and the
+  // caller's callback delivery.
+  EXPECT_EQ(events_of_one_call(), 5u);
+
+  // Response lost (the 1 -> 0 direction is cut): no response leg.
+  network_->SetLinkOneWayDown(1, 0, true);
+  EXPECT_EQ(events_of_one_call(), 4u);
+  network_->SetLinkOneWayDown(1, 0, false);
+
+  // Request lost at send: only the timeout and the callback delivery.
+  network_->SetDatacenterDown(1, true);
+  EXPECT_EQ(events_of_one_call(), 2u);
+  network_->SetDatacenterDown(1, false);
+
+  // Duplicated: each copy has its own request leg, handler frame destroy
+  // and response leg; the caller still sees one callback.
+  network_->set_duplicate_probability(1.0);
+  EXPECT_EQ(events_of_one_call(), 8u);
+}
+
+TEST_F(NetworkTest, RaceDetectorSeesTheFourLegTags) {
+  NetworkOptions options;
+  options.duplicate_probability = 1.0;
+  options.reorder_extra_max = 1;  // the duplicate lags by exactly 1 us
+  Build(2, options);
+  sim::RaceDetector detector;
+  sim_.AttachRaceDetector(&detector);
+  // A bystander writes the datacenter state each leg reads, at the leg's
+  // delivery time, with no happens-before edge to it: request legs arrive
+  // at dc1 at 5 ms (+1 us for the copy), responses at dc0 at 10 ms (+1 us).
+  const std::pair<TimeMicros, DcId> bystanders[] = {
+      {5 * kMillisecond, 1},
+      {5 * kMillisecond + 1, 1},
+      {10 * kMillisecond, 0},
+      {10 * kMillisecond + 1, 0}};
+  for (const auto& [when, dc] : bystanders) {
+    sim_.ScheduleAt(
+        when, [&, dc = dc] { network_->SetDatacenterDown(dc, false); },
+        "bystander");
+  }
+  std::optional<CallResult> result;
+  network_->Call(0, 1, std::any(std::string("x")))
+      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  sim_.Run();
+  detector.Finalize();
+  sim_.AttachRaceDetector(nullptr);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->status.ok()) << result->status.ToString();
+
+  std::set<std::string> tags;
+  for (const sim::RaceDetector::Report& report : detector.reports()) {
+    tags.insert(report.tag_first);
+    tags.insert(report.tag_second);
+  }
+  for (const char* leg : {"net/request-leg", "net/response-leg",
+                          "net/dup-request", "net/dup-response"}) {
+    EXPECT_EQ(tags.count(leg), 1u) << "no race report names " << leg;
+  }
 }
 
 TEST_F(NetworkTest, RecoveredDatacenterServesAgain) {
