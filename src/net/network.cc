@@ -3,32 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.h"
 #include "sim/race_hooks.h"
 
 namespace paxoscp::net {
 
 namespace {
-
-/// Everything a handler invocation needs, heap-owned so the coroutine only
-/// carries a trivially-destructible pointer parameter (GCC 12 miscompiles
-/// frame copies of std::any / std::variant parameters; see sim/coro.h).
-struct HandlerContext {
-  ServiceHandler handler;
-  DcId from = kNoDc;
-  std::any request;
-  std::function<void(std::any)> done;
-};
-
-/// Glue: runs a handler coroutine to completion, then hands the response to
-/// `done`. Task is eager, so calling this starts the handler immediately.
-/// Takes ownership of `raw_context`.
-sim::Task RunHandler(HandlerContext* raw_context) {
-  std::unique_ptr<HandlerContext> context(raw_context);
-  std::any response =
-      co_await context->handler(context->from, &context->request);
-  context->done(std::move(response));
-}
 
 struct BroadcastAggregator {
   std::vector<TargetResult> results;
@@ -135,14 +114,14 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
 
   // Request leg.
   ++messages_sent_;
-  if (ShouldDrop(from, to)) {
+  if (ShouldDropFrom(&rng_, from, to)) {
     ++messages_dropped_;
     return promise.GetFuture();
   }
   const TimeMicros request_delay =
-      SampleDelay(from, to) + MaybeReorderExtra(from, to);
+      SampleDelayFrom(&rng_, from, to) + MaybeReorderExtra(from, to);
   const uint64_t request_epoch = ChannelEpoch(from, to);
-  Deliver(from, to, request_delay, request_epoch, request, promise, &rng_,
+  Deliver(from, to, request_delay, request_epoch, &request, promise, &rng_,
           "net/request-leg", "net/response-leg");
 
   // Duplicate-delivery fault: with probability duplicate_probability (fault
@@ -168,7 +147,7 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
             std::max<TimeMicros>(options_.reorder_extra_max, 1);
         const TimeMicros lag = 1 + static_cast<TimeMicros>(fault_rng_.Uniform(
                                        static_cast<uint64_t>(max_lag)));
-        Deliver(from, to, request_delay + lag, request_epoch, request,
+        Deliver(from, to, request_delay + lag, request_epoch, &request,
                 promise, &fault_rng_, "net/dup-request", "net/dup-response");
       }
     }
@@ -176,73 +155,58 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
   return promise.GetFuture();
 }
 
-void Network::Deliver(DcId from, DcId to, TimeMicros delay,
-                      uint64_t request_epoch, const std::any& request,
-                      sim::Promise<CallResult> promise, Rng* rng,
-                      const char* request_tag, const char* response_tag) {
-  sim_->ScheduleAfter(
-      delay,
-      [this, from, to, promise, request_epoch, rng, response_tag,
-       request = request]() mutable {
-        // Delivery-time check: drop if the destination is down, or if it
-        // (or the link traversed) went down at any point while the message
-        // was in flight — a heal before arrival does not resurrect it.
-        if (sim::race::Active()) {
-          sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
-          sim::race::Record(sim::race::AccessKind::kRead,
-                            {"net", "link", from, to});
-          sim::race::Record(sim::race::AccessKind::kRead,
-                            {"net", "endpoint", to});
-        }
-        if (dc_down_[to] || ChannelEpoch(from, to) != request_epoch) {
-          ++messages_dropped_;
-          return;
-        }
-        if (!handlers_[to]) {
-          ++messages_dropped_;
-          return;
-        }
-        auto* context = new HandlerContext;
-        context->handler = handlers_[to];
-        context->from = from;
-        context->request = std::move(request);
-        context->done = [this, from, to, promise, rng,
-                         response_tag](std::any response) {
-          // Response leg. For a duplicate copy a second response is
-          // invisible client-side (sim::Promise is first-set-wins), but it
-          // still costs a message and can be lost.
-          ++messages_sent_;
-          if (ShouldDropFrom(rng, to, from)) {
-            ++messages_dropped_;
-            return;
-          }
-          // Reorder faults hold back original messages only: a duplicate
-          // is already a fault-stream message.
-          TimeMicros response_delay = SampleDelayFrom(rng, to, from);
-          if (rng == &rng_) response_delay += MaybeReorderExtra(to, from);
-          const uint64_t response_epoch = ChannelEpoch(to, from);
-          sim_->ScheduleAfter(
-              response_delay,
-              [this, from, to, promise, response_epoch,
-               response = std::move(response)]() mutable {
-                if (sim::race::Active()) {
-                  sim::race::Record(sim::race::AccessKind::kRead,
-                                    {"net", "dc", from});
-                  sim::race::Record(sim::race::AccessKind::kRead,
-                                    {"net", "link", to, from});
-                }
-                if (dc_down_[from] ||
-                    ChannelEpoch(to, from) != response_epoch) {
-                  ++messages_dropped_;
-                  return;
-                }
-                promise.Set(CallResult{Status::OK(), std::move(response)});
-              },
-              response_tag);
-        };
-        RunHandler(context);
-      },
-      request_tag);
+sim::Task Network::Deliver(DcId from, DcId to, TimeMicros delay,
+                           uint64_t request_epoch, const std::any* request,
+                           sim::Promise<CallResult> promise, Rng* rng,
+                           const char* request_tag,
+                           const char* response_tag) {
+  // Copied before the first suspension: the caller's request is gone by
+  // the time the request leg lands.
+  const std::any payload = *request;
+  co_await sim::SleepFor(sim_, delay, request_tag);
+
+  // Delivery-time check: drop if the destination is down, or if it (or the
+  // link traversed) went down at any point while the message was in flight
+  // — a heal before arrival does not resurrect it.
+  if (sim::race::Active()) {
+    sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
+    sim::race::Record(sim::race::AccessKind::kRead, {"net", "link", from, to});
+    sim::race::Record(sim::race::AccessKind::kRead, {"net", "endpoint", to});
+  }
+  if (dc_down_[to] || ChannelEpoch(from, to) != request_epoch ||
+      !handlers_[to]) {
+    ++messages_dropped_;
+    co_return;
+  }
+  // The flight owns a copy of the handler: RegisterEndpoint may replace the
+  // endpoint while this handler is suspended.
+  const ServiceHandler handler = handlers_[to];
+  std::any response = co_await handler(from, &payload);
+
+  // Response leg. For a duplicate copy a second response is invisible
+  // client-side (sim::Promise is first-set-wins), but it still costs a
+  // message and can be lost.
+  ++messages_sent_;
+  if (ShouldDropFrom(rng, to, from)) {
+    ++messages_dropped_;
+    co_return;
+  }
+  // Reorder faults hold back original messages only: a duplicate is
+  // already a fault-stream message.
+  TimeMicros response_delay = SampleDelayFrom(rng, to, from);
+  if (rng == &rng_) response_delay += MaybeReorderExtra(to, from);
+  const uint64_t response_epoch = ChannelEpoch(to, from);
+  co_await sim::SleepFor(sim_, response_delay, response_tag);
+
+  if (sim::race::Active()) {
+    sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", from});
+    sim::race::Record(sim::race::AccessKind::kRead, {"net", "link", to, from});
+  }
+  if (dc_down_[from] || ChannelEpoch(to, from) != response_epoch) {
+    ++messages_dropped_;
+    co_return;
+  }
+  promise.Set(CallResult{Status::OK(), std::move(response)});
 }
 
 sim::Future<BroadcastResult> Network::Broadcast(

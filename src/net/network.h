@@ -157,28 +157,25 @@ class Network {
   /// Samples the one-way delay from `from` to `to` using `rng` (the main
   /// jitter stream for regular legs, the fault stream for duplicate copies).
   TimeMicros SampleDelayFrom(Rng* rng, DcId from, DcId to);
-  /// Samples the one-way delay from `from` to `to`.
-  TimeMicros SampleDelay(DcId from, DcId to) {
-    return SampleDelayFrom(&rng_, from, to);
-  }
   /// True if the message should be dropped (loss, outage, severed link),
   /// drawing the loss decision from `rng`.
   bool ShouldDropFrom(Rng* rng, DcId from, DcId to);
-  /// True if the message should be dropped (loss, outage, severed link).
-  bool ShouldDrop(DcId from, DcId to) { return ShouldDropFrom(&rng_, from, to); }
   /// Extra reorder delay for one leg: 0 unless a reorder fault is active, in
   /// which case a Bernoulli(reorder_probability) draw from the fault stream
   /// holds the message back by U(1, reorder_extra_max). Never touches rng_.
   TimeMicros MaybeReorderExtra(DcId from, DcId to);
-  /// Schedules one delivery of `request`, `delay` from now: the request leg
-  /// (dropped if its channel left `request_epoch` in flight), the handler,
-  /// and the response leg, whose loss and delay are drawn from `rng`. The
-  /// original delivery passes rng_; a duplicated copy passes the fault
-  /// stream, so the original's schedule — and every other message's — is
-  /// unchanged. The tags name the two legs' events.
-  void Deliver(DcId from, DcId to, TimeMicros delay, uint64_t request_epoch,
-               const std::any& request, sim::Promise<CallResult> promise,
-               Rng* rng, const char* request_tag, const char* response_tag);
+  /// One message flight, started by Call: the request leg lands `delay`
+  /// from now (dropped if its channel left `request_epoch` in flight), the
+  /// destination's handler serves it, and the response leg, whose loss and
+  /// delay are drawn from `rng`, sets `promise`. The original delivery
+  /// passes rng_; a duplicated copy passes the fault stream, so the
+  /// original's schedule — and every other message's — is unchanged. The
+  /// tags name the two legs' events. `request` is copied before the first
+  /// suspension (coroutine parameter rules: sim/coro.h, txn/client.h).
+  sim::Task Deliver(DcId from, DcId to, TimeMicros delay,
+                    uint64_t request_epoch, const std::any* request,
+                    sim::Promise<CallResult> promise, Rng* rng,
+                    const char* request_tag, const char* response_tag);
   /// Outage epoch of the `from` -> `to` channel. Captured when a message is
   /// sent; if it changed by delivery time the message crossed a fault window
   /// and is lost (see the in-flight semantics note above).

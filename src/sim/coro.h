@@ -16,7 +16,7 @@
 //                 children's results in input order, independent of
 //                 completion order. The joined waiter is resumed only
 //                 through the event queue, so fan-out stays deterministic.
-//  * SleepFor   — awaitable virtual-time delay.
+//  * SleepFor   — awaitable virtual-time delay, optionally tagged.
 #pragma once
 
 #include <cassert>
@@ -441,18 +441,22 @@ class [[nodiscard]] Gather {
 };
 
 /// Awaitable virtual-time delay: `co_await SleepFor(sim, 10 * kMillisecond)`.
+/// `tag` names the resume event for the race detector (a string literal,
+/// as for Simulator::ScheduleAfter).
 struct SleepFor {
-  SleepFor(Simulator* sim, TimeMicros delay) : sim_(sim), delay_(delay) {}
+  SleepFor(Simulator* sim, TimeMicros delay, const char* tag = "sim/sleep")
+      : sim_(sim), delay_(delay), tag_(tag) {}
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
-    sim_->ScheduleAfter(delay_, [h] { h.resume(); }, "sim/sleep");
+    sim_->ScheduleAfter(delay_, [h] { h.resume(); }, tag_);
   }
   void await_resume() const noexcept {}
 
  private:
   Simulator* sim_;
   TimeMicros delay_;
+  const char* tag_;
 };
 
 }  // namespace paxoscp::sim
